@@ -32,18 +32,13 @@ int main() {
     // Exaggerated heterogeneity so the policy difference is visible.
     config.cloud.cpu_speed_cov = 0.35;
     config.seed = 2718;
-    auto result = harness::RunExperiment(config);
-    if (!result.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
+    const harness::ExperimentResult result = bench::RunOrExit(config);
     std::fprintf(stderr, "  [run] %s done\n", BalancePolicyToString(policy));
     table.AddRow({client::BalancePolicyToString(policy),
-                  StrFormat("%.1f", result->benchmark.throughput_ops),
-                  StrFormat("%.1f", result->benchmark.mean_response_ms),
-                  StrFormat("%.1f", result->benchmark.p95_response_ms),
-                  StrFormat("%.1f", result->mean_relative_delay_ms)});
+                  StrFormat("%.1f", result.benchmark.throughput_ops),
+                  StrFormat("%.1f", result.benchmark.mean_response_ms),
+                  StrFormat("%.1f", result.benchmark.p95_response_ms),
+                  StrFormat("%.1f", result.mean_relative_delay_ms)});
   }
   std::printf("%s", table.ToAscii().c_str());
   std::printf(

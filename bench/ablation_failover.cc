@@ -65,8 +65,7 @@ DrillResult RunDrill(const repl::FailoverOptions& failover_options,
       150, seed, &state);
   if (!loaded.ok()) return DrillResult{};
 
-  std::vector<repl::SlaveNode*> slaves;
-  for (int i = 0; i < 3; ++i) slaves.push_back(cluster.slave(i));
+  std::vector<repl::SlaveNode*> slaves = cluster.slaves();
   client::ReadWriteSplitProxy proxy(&sim, &provider.network(), app->node_id(),
                                     cluster.master(), slaves,
                                     client::ProxyOptions{});

@@ -26,19 +26,14 @@ int main() {
     config.num_users = 100;
     config.heartbeat.period = period;
     config.seed = 1618;
-    auto result = harness::RunExperiment(config);
-    if (!result.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
+    const harness::ExperimentResult result = bench::RunOrExit(config);
     std::fprintf(stderr, "  [run] period=%s done\n",
                  FormatDuration(period).c_str());
     table.AddRow({FormatDuration(period),
                   StrFormat("%lld", static_cast<long long>(
-                                        result->heartbeats_issued)),
-                  StrFormat("%.1f", result->benchmark.throughput_ops),
-                  StrFormat("%.1f", result->mean_relative_delay_ms)});
+                                        result.heartbeats_issued)),
+                  StrFormat("%.1f", result.benchmark.throughput_ops),
+                  StrFormat("%.1f", result.mean_relative_delay_ms)});
   }
   std::printf("%s", table.ToAscii().c_str());
   return 0;

@@ -33,16 +33,11 @@ int main() {
       config.num_users = 125;
       config.cloud.cpu_speed_cov = cov;
       config.seed = seed * 7919;
-      auto result = harness::RunExperiment(config);
-      if (!result.ok()) {
-        std::fprintf(stderr, "run failed: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
+      const harness::ExperimentResult result = bench::RunOrExit(config);
       std::fprintf(stderr, "  [run] cov=%.2f seed=%llu -> %.1f ops/s\n", cov,
                    static_cast<unsigned long long>(seed),
-                   result->benchmark.throughput_ops);
-      throughputs.Add(result->benchmark.throughput_ops);
+                   result.benchmark.throughput_ops);
+      throughputs.Add(result.benchmark.throughput_ops);
     }
     table.AddRow({StrFormat("%.2f", cov),
                   StrFormat("%zu", throughputs.count()),

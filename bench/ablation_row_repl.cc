@@ -43,22 +43,17 @@ int main() {
       config.row_based_repl = mode.row_based;
       config.binlog_batch_size = mode.batch_size;
       config.seed = 314;
-      auto result = harness::RunExperiment(config);
-      if (!result.ok()) {
-        std::fprintf(stderr, "run failed: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
+      const harness::ExperimentResult result = bench::RunOrExit(config);
       std::fprintf(stderr, "  [run] %d users, %s done\n", users, mode.name);
       table.AddRow({StrFormat("%d", users), mode.name,
-                    StrFormat("%.1f", result->benchmark.throughput_ops),
-                    StrFormat("%.1f", result->mean_relative_delay_ms),
+                    StrFormat("%.1f", result.benchmark.throughput_ops),
+                    StrFormat("%.1f", result.mean_relative_delay_ms),
                     StrFormat("%lld", static_cast<long long>(
-                                          result->benchmark.writeset_applies)),
+                                          result.benchmark.writeset_applies)),
                     StrFormat("%lld", static_cast<long long>(
-                                          result->benchmark.fallback_applies)),
+                                          result.benchmark.fallback_applies)),
                     StrFormat("%lld", static_cast<long long>(
-                                          result->benchmark.binlog_batches))});
+                                          result.benchmark.binlog_batches))});
     }
   }
   std::printf("%s", table.ToAscii().c_str());

@@ -30,20 +30,15 @@ int main() {
       config.num_users = 100;
       config.synchronous_replication = sync;
       config.seed = 314;
-      auto result = harness::RunExperiment(config);
-      if (!result.ok()) {
-        std::fprintf(stderr, "run failed: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
+      const harness::ExperimentResult result = bench::RunOrExit(config);
       std::fprintf(stderr, "  [run] %s %s done\n",
                    LocationConfigToString(location), sync ? "sync" : "async");
       table.AddRow({LocationConfigToString(location),
                     sync ? "synchronous" : "asynchronous",
-                    StrFormat("%.1f", result->benchmark.throughput_ops),
-                    StrFormat("%.1f", result->benchmark.mean_response_ms),
-                    StrFormat("%.1f", result->benchmark.p95_response_ms),
-                    StrFormat("%.1f", result->mean_relative_delay_ms)});
+                    StrFormat("%.1f", result.benchmark.throughput_ops),
+                    StrFormat("%.1f", result.benchmark.mean_response_ms),
+                    StrFormat("%.1f", result.benchmark.p95_response_ms),
+                    StrFormat("%.1f", result.mean_relative_delay_ms)});
     }
   }
   std::printf("%s", table.ToAscii().c_str());

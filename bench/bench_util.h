@@ -34,41 +34,35 @@ inline int SweepJobs(int argc, char** argv) {
   return v != nullptr && v[0] != '\0' ? std::atoi(v) : 1;
 }
 
-/// Applies the paper's run structure (§III-B) or the fast variant.
-inline void ApplyRunDurations(harness::ExperimentConfig* config) {
-  if (FastMode()) {
-    config->benchmark.ramp_up = Minutes(2);
-    config->benchmark.steady = Minutes(5);
-    config->benchmark.ramp_down = Minutes(1);
-    config->idle_window = Minutes(1);
-  } else {
-    config->benchmark.ramp_up = Minutes(10);
-    config->benchmark.steady = Minutes(20);
-    config->benchmark.ramp_down = Minutes(5);
-    config->idle_window = Minutes(2);
-  }
+/// The paper's experiment base for one mix: its initial data size, a think
+/// time tuned to the figure's workload range, and the run structure of
+/// §III-B (2-minute idle window, then 10/20/5 minutes of ramp-up, steady
+/// state and ramp-down) or the FastMode() variant (1, then 2/5/1 minutes).
+inline harness::ExperimentConfig MixBase(cloudstone::WorkloadMix mix,
+                                         int64_t data_scale,
+                                         SimDuration think_time) {
+  const bool fast = FastMode();
+  harness::ExperimentConfig config;
+  config.mix = mix;
+  config.data_scale = data_scale;
+  config.benchmark.think_time_mean = think_time;
+  config.benchmark.ramp_up = Minutes(fast ? 2 : 10);
+  config.benchmark.steady = Minutes(fast ? 5 : 20);
+  config.benchmark.ramp_down = Minutes(fast ? 1 : 5);
+  config.idle_window = Minutes(fast ? 1 : 2);
+  return config;
 }
 
-/// The paper's 50/50 experiment base: data size 300, think time tuned so one
-/// slave saturates around 100 concurrent users (Fig. 2a).
+/// 50/50 at data size 300, think time tuned so one slave saturates around
+/// 100 concurrent users (Fig. 2a).
 inline harness::ExperimentConfig FiftyFiftyBase() {
-  harness::ExperimentConfig config;
-  config.mix = cloudstone::WorkloadMix::FiftyFifty();
-  config.data_scale = 300;
-  config.benchmark.think_time_mean = Seconds(9);
-  ApplyRunDurations(&config);
-  return config;
+  return MixBase(cloudstone::WorkloadMix::FiftyFifty(), 300, Seconds(9));
 }
 
-/// The paper's 80/20 experiment base: data size 600, lighter think time to
-/// reach the higher workloads of Fig. 3.
+/// 80/20 at data size 600, lighter think time to reach the higher workloads
+/// of Fig. 3.
 inline harness::ExperimentConfig EightyTwentyBase() {
-  harness::ExperimentConfig config;
-  config.mix = cloudstone::WorkloadMix::EightyTwenty();
-  config.data_scale = 600;
-  config.benchmark.think_time_mean = Seconds(7);
-  ApplyRunDurations(&config);
-  return config;
+  return MixBase(cloudstone::WorkloadMix::EightyTwenty(), 600, Seconds(7));
 }
 
 inline std::vector<int> Fig2Users() { return {50, 75, 100, 125, 150, 175, 200}; }
@@ -86,6 +80,18 @@ inline void PrintHeader(const std::string& title) {
   std::printf("================================================================\n");
 }
 
+/// Runs one experiment; on failure prints the error and exits with status 1.
+inline harness::ExperimentResult RunOrExit(
+    const harness::ExperimentConfig& config) {
+  auto result = harness::RunExperiment(config);
+  if (!result.ok()) {
+    std::fprintf(stderr, "run failed: %s\n",
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(result).value();
+}
+
 /// Stderr progress line after each run of a sweep.
 inline void Progress(const harness::SweepCell& cell) {
   std::fprintf(stderr,
@@ -95,17 +101,22 @@ inline void Progress(const harness::SweepCell& cell) {
                cell.result.mean_relative_delay_ms);
 }
 
-/// Runs one location's sweep and prints throughput and/or delay tables.
+/// Runs one sweep per location and prints two figures from the same runs:
+/// throughput per location (`throughput_fig`, e.g. "Fig2"), then the
+/// replication-delay figure headed `delay_title` (`delay_fig`, e.g. "Fig5") —
+/// the paper reads Figs. 2/5 and 3/6 off the same 35-minute runs.
 inline int RunLocationSweeps(const harness::ExperimentConfig& base,
                              const std::vector<int>& slaves,
                              const std::vector<int>& users,
-                             bool print_throughput, bool print_delay,
-                             const char* figure_prefix, int jobs = 1) {
+                             const char* throughput_fig,
+                             const std::string& delay_title,
+                             const char* delay_fig, int jobs) {
   using harness::LocationConfig;
   const LocationConfig kLocations[] = {LocationConfig::kSameZone,
                                        LocationConfig::kDifferentZone,
                                        LocationConfig::kDifferentRegion};
   const char* kSubfig[] = {"a", "b", "c"};
+  std::vector<harness::SweepResult> results;
   for (int i = 0; i < 3; ++i) {
     harness::SweepConfig sweep;
     sweep.base = base;
@@ -116,35 +127,42 @@ inline int RunLocationSweeps(const harness::ExperimentConfig& base,
     sweep.slave_counts = slaves;
     sweep.user_counts = users;
     sweep.jobs = jobs;
-    std::fprintf(stderr, "[%s%s] sweeping %s...\n", figure_prefix, kSubfig[i],
-                 LocationConfigToString(kLocations[i]));
+    std::fprintf(stderr, "[%s%s] sweeping %s...\n", throughput_fig,
+                 kSubfig[i], LocationConfigToString(kLocations[i]));
     auto result = harness::RunSweep(sweep, Progress);
     if (!result.ok()) {
       std::fprintf(stderr, "sweep failed: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
-    if (print_throughput) {
-      PrintHeader(StrFormat(
-          "%s%s: End-to-end throughput (ops/s) — %s, read/write %d/%d",
-          figure_prefix, kSubfig[i], LocationConfigToString(kLocations[i]),
-          static_cast<int>(base.mix.read_fraction * 100),
-          static_cast<int>((1 - base.mix.read_fraction) * 100 + 0.5)));
-      std::printf("%s",
-                  result->ThroughputTable(slaves, users).ToAscii().c_str());
-      std::printf("Observed saturation points (users right after max "
-                  "throughput; 0 = still rising):\n");
-      for (int s : slaves) {
-        std::printf("  %2d slave%s: %d\n", s, s == 1 ? " " : "s",
-                    result->SaturationUsers(s, users));
-      }
+    PrintHeader(StrFormat(
+        "%s%s: End-to-end throughput (ops/s) — %s, read/write %d/%d",
+        throughput_fig, kSubfig[i], LocationConfigToString(kLocations[i]),
+        static_cast<int>(base.mix.read_fraction * 100),
+        static_cast<int>((1 - base.mix.read_fraction) * 100 + 0.5)));
+    std::printf("%s", result
+                          ->FigureTable(&harness::SweepResult::Throughput,
+                                        slaves, users)
+                          .ToAscii()
+                          .c_str());
+    std::printf("Observed saturation points (users right after max "
+                "throughput; 0 = still rising):\n");
+    for (int s : slaves) {
+      std::printf("  %2d slave%s: %d\n", s, s == 1 ? " " : "s",
+                  result->SaturationUsers(s, users));
     }
-    if (print_delay) {
-      PrintHeader(StrFormat(
-          "%s%s: Average relative replication delay (ms) — %s",
-          figure_prefix, kSubfig[i], LocationConfigToString(kLocations[i])));
-      std::printf("%s", result->DelayTable(slaves, users).ToAscii().c_str());
-    }
+    results.push_back(std::move(result).value());
+  }
+  PrintHeader(delay_title);
+  for (int i = 0; i < 3; ++i) {
+    PrintHeader(StrFormat("%s%s: Average relative replication delay (ms) — %s",
+                          delay_fig, kSubfig[i],
+                          LocationConfigToString(kLocations[i])));
+    std::printf("%s", results[static_cast<size_t>(i)]
+                          .FigureTable(&harness::SweepResult::RelativeDelay,
+                                       slaves, users)
+                          .ToAscii()
+                          .c_str());
   }
   return 0;
 }

@@ -73,11 +73,8 @@ StormResult RunStorm(uint64_t seed) {
       150, seed, &state);
   if (!loaded.ok()) return StormResult{};
 
-  std::vector<repl::SlaveNode*> slaves;
-  for (int i = 0; i < 3; ++i) {
-    slaves.push_back(cluster.slave(i));
-    slaves.back()->StartAutoResync();
-  }
+  std::vector<repl::SlaveNode*> slaves = cluster.slaves();
+  for (repl::SlaveNode* slave : slaves) slave->StartAutoResync();
   client::ReadWriteSplitProxy proxy(&sim, &provider.network(), app->node_id(),
                                     cluster.master(), slaves,
                                     client::ProxyOptions{});

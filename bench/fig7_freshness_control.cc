@@ -24,12 +24,8 @@ void Progress(const clouddb::harness::ControlSweepCell& cell) {
   std::fprintf(stderr,
                "  [run] bound=%-10s users=%-3d -> fresh %6.2f%%, offload "
                "%5.1f%%, replicas peak %d final %d\n",
-               cell.bound < 0 ? "unbounded"
-                              : clouddb::StrFormat(
-                                    "%lldms",
-                                    static_cast<long long>(cell.bound / 1000))
-                                    .c_str(),
-               cell.users, cell.result.achieved_freshness_pct,
+               clouddb::harness::BoundLabel(cell.bound).c_str(), cell.users,
+               cell.result.achieved_freshness_pct,
                cell.result.master_offload_pct,
                cell.result.peak_active_slaves,
                cell.result.final_active_slaves);
@@ -72,23 +68,31 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::PrintHeader("Fig7a: achieved freshness (% of bounded reads within "
-                     "bound at completion)");
-  std::printf("%s", result->FreshnessTable(sweep.staleness_bounds,
-                                           sweep.user_counts)
-                        .ToAscii()
-                        .c_str());
-  bench::PrintHeader(
-      "Fig7b: master offload (% of bounded reads served by a replica)");
-  std::printf("%s", result->OffloadTable(sweep.staleness_bounds,
-                                         sweep.user_counts)
-                        .ToAscii()
-                        .c_str());
-  bench::PrintHeader("Fig7c: replica count under the controller");
-  std::printf("%s", result->ReplicaTable(sweep.staleness_bounds,
-                                         sweep.user_counts)
-                        .ToAscii()
-                        .c_str());
+  using harness::ControlExperimentResult;
+  auto print_table = [&](const char* title, const auto& text) {
+    bench::PrintHeader(title);
+    std::printf("%s", result->FigureTable(text, sweep.staleness_bounds,
+                                          sweep.user_counts)
+                          .ToAscii()
+                          .c_str());
+  };
+  print_table("Fig7a: achieved freshness (% of bounded reads within bound at "
+              "completion)",
+              [](const ControlExperimentResult& r) {
+                return StrFormat("%.2f%%", r.achieved_freshness_pct);
+              });
+  print_table("Fig7b: master offload (% of bounded reads served by a "
+              "replica)",
+              [](const ControlExperimentResult& r) {
+                return StrFormat("%.1f%%", r.master_offload_pct);
+              });
+  print_table("Fig7c: replica count under the controller",
+              [](const ControlExperimentResult& r) {
+                return StrFormat("peak %d, final %d (+%lld/-%lld)",
+                                 r.peak_active_slaves, r.final_active_slaves,
+                                 static_cast<long long>(r.scale_outs),
+                                 static_cast<long long>(r.scale_ins));
+              });
 
   // One representative cell's scaling timeline, to make the loop visible.
   const auto& cells = result->cells();
@@ -101,13 +105,9 @@ int main(int argc, char** argv) {
       }
     }
     if (shown == nullptr) shown = &cells.back();
-    bench::PrintHeader(StrFormat(
-        "Scaling timeline (bound %s, %d users)",
-        shown->bound < 0
-            ? "unbounded"
-            : StrFormat("%lldms", static_cast<long long>(shown->bound / 1000))
-                  .c_str(),
-        shown->users));
+    bench::PrintHeader(StrFormat("Scaling timeline (bound %s, %d users)",
+                                 harness::BoundLabel(shown->bound).c_str(),
+                                 shown->users));
     std::printf("%s", shown->result.TimelineString().c_str());
   }
   return 0;

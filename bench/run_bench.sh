@@ -13,6 +13,9 @@
 # row, which is robust to one-sided noise (a background process can only
 # slow a run down, so outliers skew high). When comparing before/after,
 # compare medians and treat deltas within the reported cv as noise.
+# Repetitions of different benchmarks are interleaved in random order
+# (--benchmark_enable_random_interleaving=true), so a slow phase of the host
+# spreads over all benchmarks instead of skewing whichever ran during it.
 # Extra flags passed on the command line come after the defaults, so
 # e.g. `bench/run_bench.sh build --benchmark_repetitions=1` overrides them.
 #
@@ -26,6 +29,7 @@ if [[ $# -gt 0 ]]; then shift; fi
 default_flags=(
   --benchmark_repetitions=5
   --benchmark_report_aggregates_only=true
+  --benchmark_enable_random_interleaving=true
 )
 
 for name in micro_engine micro_sim micro_metrics micro_lint micro_repl; do

@@ -53,7 +53,7 @@ int main() {
 
   // Slaves survive transient faults by re-requesting missed events with
   // bounded exponential backoff instead of silently diverging.
-  std::vector<repl::SlaveNode*> slaves = {cluster.slave(0), cluster.slave(1)};
+  std::vector<repl::SlaveNode*> slaves = cluster.slaves();
   for (repl::SlaveNode* slave : slaves) slave->StartAutoResync();
 
   client::ReadWriteSplitProxy proxy(&sim, &provider.network(), app->node_id(),

@@ -59,7 +59,7 @@ struct RecoveryReport {
 /// zero event lag and an empty relay log (override with `converged` for a
 /// stricter predicate, e.g. ReplicationCluster::Converged deep-compare).
 /// Polling is a repeating simulation event — Stop() before the final drain,
-/// like ClusterMonitor.
+/// like HeartbeatPlugin.
 class RecoveryObserver {
  public:
   RecoveryObserver(sim::Simulation* sim, repl::FailoverManager* manager,

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "client/rw_split_proxy.h"
-#include "cloud/cloud_provider.h"
 #include "cloud/instance.h"
 #include "cloudstone/benchmark_driver.h"
 #include "cloudstone/operations.h"
@@ -19,9 +18,9 @@
 #include "metrics/metric_registry.h"
 #include "repl/heartbeat.h"
 #include "repl/replication_cluster.h"
-#include "repl/slave_node.h"
 #include "sim/simulation.h"
 #include "common/time_types.h"
+#include "harness/experiment.h"
 
 namespace clouddb::harness {
 
@@ -37,51 +36,43 @@ std::string ControlExperimentResult::TimelineString() const {
   return out;
 }
 
+namespace {
+
+/// The control run's Fig. 1 deployment: same-zone slaves, no NTP daemons,
+/// and the default engine toggles apart from the statement cache.
+ExperimentConfig DeploymentConfig(const ControlExperimentConfig& config) {
+  ExperimentConfig deploy;
+  deploy.costs = config.costs;
+  deploy.data_scale = config.data_scale;
+  deploy.num_slaves = config.initial_slaves;
+  deploy.heartbeat = config.heartbeat;
+  deploy.cloud = config.cloud;
+  deploy.enable_ntp = false;
+  deploy.statement_cache = config.statement_cache;
+  deploy.apply_factor = config.apply_factor;
+  deploy.seed = config.seed;
+  deploy.placement_seed = config.placement_seed;
+  return deploy;
+}
+
+}  // namespace
+
 Result<ControlExperimentResult> RunControlExperiment(
     const ControlExperimentConfig& config) {
-  Rng seeder(config.seed);
-  sim::Simulation sim;
-  uint64_t derived_placement_seed = seeder.NextU64();
-  cloud::CloudProvider provider(
-      &sim, config.cloud,
-      config.placement_seed.value_or(derived_placement_seed));
-
-  repl::ClusterConfig cluster_config;
-  cluster_config.num_slaves = config.initial_slaves;
-  cluster_config.cost_model =
-      cloudstone::MakeWorkloadCostModel(config.costs, config.apply_factor);
-  repl::ReplicationCluster cluster(&provider, cluster_config);
-  cluster.SetStatementCacheEnabled(config.statement_cache);
-
-  cloud::Instance* bench_instance =
-      provider.Launch("cloudstone", cloud::InstanceType::kLarge,
-                      cluster_config.master_placement);
-
-  cloudstone::WorkloadState state;
-  uint64_t load_seed = seeder.NextU64();
-  Status load_status = cloudstone::LoadInitialData(
-      [&](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
-      },
-      config.data_scale, load_seed, &state);
-  if (!load_status.ok()) return load_status;
-
-  repl::HeartbeatPlugin heartbeat(&sim, cluster.master(), config.heartbeat);
-  CLOUDDB_RETURN_IF_ERROR(heartbeat.CreateTable());
-  heartbeat.Start();
+  CLOUDDB_ASSIGN_OR_RETURN(std::unique_ptr<Deployment> deployment,
+                           Deployment::Build(DeploymentConfig(config)));
+  sim::Simulation& sim = deployment->sim;
+  repl::ReplicationCluster& cluster = deployment->cluster;
+  cloud::Instance* bench_instance = deployment->bench_instance;
 
   client::ProxyOptions proxy_options;
   proxy_options.policy = client::BalancePolicy::kFreshnessAware;
   proxy_options.route_cache = config.statement_cache;
   proxy_options.pool.max_active =
       std::max(8, config.base_users + config.surge_users);
-  std::vector<repl::SlaveNode*> slaves;
-  for (int i = 0; i < cluster.num_slaves(); ++i) {
-    slaves.push_back(cluster.slave(i));
-  }
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(),
-                                    bench_instance->node_id(),
-                                    cluster.master(), slaves, proxy_options);
+  client::ReadWriteSplitProxy proxy(
+      &sim, &deployment->provider.network(), bench_instance->node_id(),
+      cluster.master(), cluster.slaves(), proxy_options);
 
   // The control plane: tracker feeds the proxy's SLA router and the
   // controller's lag signal.
@@ -105,7 +96,7 @@ Result<ControlExperimentResult> RunControlExperiment(
   // Workload: base users for the whole measured window, surge users for the
   // load step in the middle of it. Every read carries the staleness bound.
   cloudstone::OperationGenerator generator(
-      config.mix, config.costs, &state,
+      config.mix, config.costs, &deployment->state,
       [bench_instance] { return bench_instance->LocalNowMicros(); });
   cloudstone::MetricsCollector collector;
   client::ReadOptions read_options;
@@ -119,7 +110,8 @@ Result<ControlExperimentResult> RunControlExperiment(
   std::vector<std::unique_ptr<cloudstone::UserEmulator>> users;
   for (int u = 0; u < config.base_users + config.surge_users; ++u) {
     users.push_back(std::make_unique<cloudstone::UserEmulator>(
-        &sim, &proxy, &generator, &collector, Rng(seeder.NextU64()),
+        &sim, &proxy, &generator, &collector,
+        Rng(deployment->seeder.NextU64()),
         config.think_time_mean));
     users.back()->set_read_options(read_options);
     bool surge = u >= config.base_users;
@@ -128,7 +120,7 @@ Result<ControlExperimentResult> RunControlExperiment(
   }
 
   sim.RunUntil(measure_end);
-  heartbeat.Stop();
+  deployment->heartbeat->Stop();
   tracker.Stop();
   controller.Stop();
   staleness_watermark.Stop();

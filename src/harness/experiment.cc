@@ -18,7 +18,6 @@
 #include "db/database.h"
 #include "repl/heartbeat.h"
 #include "repl/replication_cluster.h"
-#include "repl/slave_node.h"
 #include "sim/simulation.h"
 
 namespace clouddb::harness {
@@ -47,35 +46,39 @@ cloud::Placement SlavePlacementFor(LocationConfig location) {
   return cloud::SameZonePlacement();
 }
 
-Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
-  Rng seeder(config.seed);
-  sim::Simulation sim;
-  uint64_t derived_placement_seed = seeder.NextU64();
-  cloud::CloudProvider provider(
-      &sim, config.cloud,
-      config.placement_seed.value_or(derived_placement_seed));
+namespace {
 
-  // L2/L3: the replication tier.
+/// Draws the derived placement seed even when `placement_seed` pins it, so
+/// the later draws do not depend on the pin.
+uint64_t PlacementSeed(const ExperimentConfig& config, Rng* seeder) {
+  uint64_t derived = seeder->NextU64();
+  return config.placement_seed.value_or(derived);
+}
+
+repl::ClusterConfig ClusterConfigFor(const ExperimentConfig& config) {
   repl::ClusterConfig cluster_config;
   cluster_config.num_slaves = config.num_slaves;
   cluster_config.slave_placement = SlavePlacementFor(config.location);
   cluster_config.cost_model =
       cloudstone::MakeWorkloadCostModel(config.costs, config.apply_factor);
   cluster_config.synchronous_replication = config.synchronous_replication;
-  repl::ReplicationCluster cluster(&provider, cluster_config);
+  return cluster_config;
+}
+
+}  // namespace
+
+Deployment::Deployment(const ExperimentConfig& config)
+    : seeder(config.seed),
+      provider(&sim, config.cloud, PlacementSeed(config, &seeder)),
+      cluster(&provider, ClusterConfigFor(config)) {
   cluster.SetStatementCacheEnabled(config.statement_cache);
   cluster.SetVectorizedExecEnabled(config.vectorized_exec);
   cluster.SetRowBasedReplication(config.row_based_repl);
   cluster.SetBinlogBatchSize(config.binlog_batch_size);
-
-  // L1: the benchmark driver instance — a large instance in the master's
-  // zone ("the benchmark is deployed in a large instance to avoid any
-  // overload on the application tier").
-  cloud::Instance* bench_instance = provider.Launch(
-      "cloudstone", cloud::InstanceType::kLarge, cluster_config.master_placement);
-
+  bench_instance =
+      provider.Launch("cloudstone", cloud::InstanceType::kLarge,
+                      cluster.config().master_placement);
   // NTP daemons, synchronizing every second.
-  std::vector<std::unique_ptr<cloud::NtpClient>> ntp_clients;
   if (config.enable_ntp) {
     for (const auto& instance : provider.instances()) {
       ntp_clients.push_back(std::make_unique<cloud::NtpClient>(
@@ -83,21 +86,32 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
       ntp_clients.back()->StartPeriodic();
     }
   }
+}
 
+Result<std::unique_ptr<Deployment>> Deployment::Build(
+    const ExperimentConfig& config) {
+  std::unique_ptr<Deployment> d(new Deployment(config));
   // Pre-load every replica with identical data.
-  cloudstone::WorkloadState state;
-  uint64_t load_seed = seeder.NextU64();
-  Status load_status = cloudstone::LoadInitialData(
+  uint64_t load_seed = d->seeder.NextU64();
+  repl::ReplicationCluster& cluster = d->cluster;
+  CLOUDDB_RETURN_IF_ERROR(cloudstone::LoadInitialData(
       [&](const std::string& sql) {
         return cluster.ExecuteEverywhereDirect(sql);
       },
-      config.data_scale, load_seed, &state);
-  if (!load_status.ok()) return load_status;
+      config.data_scale, load_seed, &d->state));
+  d->heartbeat.emplace(&d->sim, cluster.master(), config.heartbeat);
+  CLOUDDB_RETURN_IF_ERROR(d->heartbeat->CreateTable());
+  d->heartbeat->Start();
+  return d;
+}
 
-  // Heartbeat probe.
-  repl::HeartbeatPlugin heartbeat(&sim, cluster.master(), config.heartbeat);
-  CLOUDDB_RETURN_IF_ERROR(heartbeat.CreateTable());
-  heartbeat.Start();
+Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
+  CLOUDDB_ASSIGN_OR_RETURN(std::unique_ptr<Deployment> deployment,
+                           Deployment::Build(config));
+  sim::Simulation& sim = deployment->sim;
+  repl::ReplicationCluster& cluster = deployment->cluster;
+  repl::HeartbeatPlugin& heartbeat = *deployment->heartbeat;
+  cloud::Instance* bench_instance = deployment->bench_instance;
 
   // Idle window: heartbeats with no workload.
   sim.RunUntil(sim.Now() + config.idle_window);
@@ -108,18 +122,16 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   proxy_options.policy = config.policy;
   proxy_options.route_cache = config.statement_cache;
   proxy_options.pool.max_active = std::max(8, config.num_users);
-  std::vector<repl::SlaveNode*> slaves;
-  for (int i = 0; i < cluster.num_slaves(); ++i) slaves.push_back(cluster.slave(i));
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(),
-                                    bench_instance->node_id(),
-                                    cluster.master(), slaves, proxy_options);
+  client::ReadWriteSplitProxy proxy(
+      &sim, &deployment->provider.network(), bench_instance->node_id(),
+      cluster.master(), cluster.slaves(), proxy_options);
 
   cloudstone::OperationGenerator generator(
-      config.mix, config.costs, &state,
+      config.mix, config.costs, &deployment->state,
       [bench_instance] { return bench_instance->LocalNowMicros(); });
   cloudstone::BenchmarkOptions bench_options = config.benchmark;
   bench_options.num_users = config.num_users;
-  bench_options.seed = seeder.NextU64();
+  bench_options.seed = deployment->seeder.NextU64();
   cloudstone::BenchmarkDriver driver(&sim, &proxy, &cluster, &generator,
                                      bench_options);
   driver.Start();
@@ -134,7 +146,7 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
 
   sim.RunUntil(driver.end_time());
   heartbeat.Stop();
-  for (auto& ntp : ntp_clients) ntp->Stop();
+  for (auto& ntp : deployment->ntp_clients) ntp->Stop();
   // Drain: outstanding operations complete and relay logs apply fully.
   sim.Run();
 

@@ -2,20 +2,25 @@
 #define CLOUDDB_HARNESS_EXPERIMENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "client/rw_split_proxy.h"
 #include "cloud/cloud_provider.h"
+#include "cloud/instance.h"
 #include "cloud/ntp.h"
 #include "cloudstone/benchmark_driver.h"
 #include "cloudstone/operations.h"
+#include "cloudstone/schema.h"
 #include "common/result.h"
+#include "common/rng.h"
 #include "repl/heartbeat.h"
 #include "repl/replication_cluster.h"
 #include "cloud/placement.h"
 #include "common/time_types.h"
+#include "sim/simulation.h"
 
 namespace clouddb::harness {
 
@@ -91,6 +96,32 @@ struct ExperimentResult {
   bool converged = false;
   int64_t heartbeats_issued = 0;
   int64_t binlog_events = 0;
+};
+
+/// The paper's Fig. 1 deployment, shared by RunExperiment and
+/// RunControlExperiment: the cloud, the replication tier (L2/L3) with the
+/// config's engine toggles, the benchmark instance (L1), NTP daemons when
+/// `enable_ntp`, the initial data set loaded on every replica, and the
+/// heartbeat probe running. Members are declared in construction order and
+/// destroyed in reverse. `seeder` has drawn the placement, NTP and load
+/// seeds, in that order; the caller keeps drawing the workload's from it.
+struct Deployment {
+  static Result<std::unique_ptr<Deployment>> Build(
+      const ExperimentConfig& config);
+
+  Rng seeder;
+  sim::Simulation sim;
+  cloud::CloudProvider provider;
+  repl::ReplicationCluster cluster;
+  /// A large instance in the master's zone ("the benchmark is deployed in a
+  /// large instance to avoid any overload on the application tier").
+  cloud::Instance* bench_instance = nullptr;
+  std::vector<std::unique_ptr<cloud::NtpClient>> ntp_clients;
+  cloudstone::WorkloadState state;
+  std::optional<repl::HeartbeatPlugin> heartbeat;
+
+ private:
+  explicit Deployment(const ExperimentConfig& config);
 };
 
 /// Builds the full three-layer deployment of the paper's Fig. 1 — benchmark

@@ -48,7 +48,8 @@ int SweepResult::SaturationUsers(int slaves,
   return user_counts[best_i + 1];
 }
 
-TableWriter SweepResult::ThroughputTable(
+TableWriter SweepResult::FigureTable(
+    double (SweepResult::*value)(int, int) const,
     const std::vector<int>& slave_counts,
     const std::vector<int>& user_counts) const {
   std::vector<std::string> header = {"users"};
@@ -59,24 +60,7 @@ TableWriter SweepResult::ThroughputTable(
   for (int u : user_counts) {
     std::vector<std::string> row = {StrFormat("%d", u)};
     for (int s : slave_counts) {
-      row.push_back(StrFormat("%.1f", Throughput(s, u)));
-    }
-    table.AddRow(std::move(row));
-  }
-  return table;
-}
-
-TableWriter SweepResult::DelayTable(const std::vector<int>& slave_counts,
-                                    const std::vector<int>& user_counts) const {
-  std::vector<std::string> header = {"users"};
-  for (int s : slave_counts) {
-    header.push_back(StrFormat("%d slave%s", s, s == 1 ? "" : "s"));
-  }
-  TableWriter table(std::move(header));
-  for (int u : user_counts) {
-    std::vector<std::string> row = {StrFormat("%d", u)};
-    for (int s : slave_counts) {
-      row.push_back(StrFormat("%.1f", RelativeDelay(s, u)));
+      row.push_back(StrFormat("%.1f", (this->*value)(s, u)));
     }
     table.AddRow(std::move(row));
   }
@@ -85,13 +69,12 @@ TableWriter SweepResult::DelayTable(const std::vector<int>& slave_counts,
 
 namespace {
 
-/// One grid cell's fully derived run configuration. Planning every cell up
-/// front (in grid order) makes each seed a pure function of the grid
+/// One grid cell and its fully derived run configuration. Planning every
+/// cell up front (in grid order) makes each seed a pure function of the grid
 /// coordinates — never of worker scheduling — which is what lets the
 /// parallel runner reproduce the serial runner's output byte for byte.
 struct PlannedCell {
-  int slaves = 0;
-  int users = 0;
+  SweepCell cell;
   ExperimentConfig run;
 };
 
@@ -112,7 +95,8 @@ std::vector<PlannedCell> PlanCells(const SweepConfig& config) {
       if (!run.placement_seed.has_value()) {
         run.placement_seed = config.base.seed * 131 + config.seed_salt;
       }
-      cells.push_back(PlannedCell{slaves, users, std::move(run)});
+      cells.push_back(
+          PlannedCell{SweepCell{slaves, users, {}}, std::move(run)});
     }
   }
   return cells;
@@ -123,31 +107,32 @@ std::vector<PlannedCell> PlanCells(const SweepConfig& config) {
 Result<SweepResult> RunSweep(
     const SweepConfig& config,
     const std::function<void(const SweepCell&)>& progress) {
-  const std::vector<PlannedCell> cells = PlanCells(config);
-  const size_t n = cells.size();
-  SweepResult result;
+  return RunPlannedGrid<SweepResult>(PlanCells(config), config.jobs,
+                                     RunExperiment, progress);
+}
 
-  int jobs = config.jobs;
+Status RunGridInOrder(size_t n, int jobs,
+                      const std::function<Status(size_t)>& run_cell,
+                      const std::function<void(size_t)>& deliver) {
   if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
   if (jobs < 1) jobs = 1;
   if (jobs > static_cast<int>(n)) jobs = static_cast<int>(n);
 
   if (jobs <= 1) {
-    for (const PlannedCell& cell : cells) {
-      auto outcome = RunExperiment(cell.run);
-      if (!outcome.ok()) return outcome.status();
-      SweepCell done{cell.slaves, cell.users, std::move(outcome).value()};
-      if (progress) progress(done);
-      result.Add(std::move(done));
+    for (size_t i = 0; i < n; ++i) {
+      CLOUDDB_RETURN_IF_ERROR(run_cell(i));
+      deliver(i);
     }
-    return result;
+    return Status::Ok();
   }
 
   // Parallel runner: each cell is an independent single-threaded Simulation,
-  // so workers just claim cells from a shared cursor. The main thread
-  // consumes outcomes strictly in grid order — progress callbacks, cell
-  // order, and every derived table are byte-identical to jobs == 1.
-  std::vector<std::optional<Result<ExperimentResult>>> outcomes(n);
+  // so workers just claim cells from a shared cursor. The calling thread
+  // consumes outcomes strictly in grid order — delivery order, and with it
+  // every derived table, is byte-identical to jobs == 1. A worker publishes
+  // cell i's status under `mu` after run_cell(i) returns, so deliver(i) sees
+  // everything run_cell(i) wrote.
+  std::vector<std::optional<Status>> outcomes(n);
   std::atomic<size_t> cursor{0};
   std::mutex mu;
   std::condition_variable cell_ready;
@@ -158,10 +143,10 @@ Result<SweepResult> RunSweep(
       for (;;) {
         size_t i = cursor.fetch_add(1);
         if (i >= n) return;
-        Result<ExperimentResult> outcome = RunExperiment(cells[i].run);
+        Status status = run_cell(i);
         {
           std::lock_guard<std::mutex> lock(mu);
-          outcomes[i] = std::move(outcome);
+          outcomes[i] = std::move(status);
         }
         cell_ready.notify_all();
       }
@@ -172,22 +157,17 @@ Result<SweepResult> RunSweep(
   for (size_t i = 0; i < n; ++i) {
     std::unique_lock<std::mutex> lock(mu);
     cell_ready.wait(lock, [&] { return outcomes[i].has_value(); });
-    Result<ExperimentResult>& outcome = *outcomes[i];
-    if (!outcome.ok()) {
+    if (!outcomes[i]->ok()) {
       // Match the serial runner: the first grid-order failure wins and no
-      // later cell is surfaced (workers still drain so join() returns).
-      failed = outcome.status();
+      // later cell is delivered (workers still drain so join() returns).
+      failed = *outcomes[i];
       break;
     }
-    SweepCell done{cells[i].slaves, cells[i].users,
-                   std::move(outcome).value()};
     lock.unlock();
-    if (progress) progress(done);
-    result.Add(std::move(done));
+    deliver(i);
   }
   for (std::thread& worker : workers) worker.join();
-  if (!failed.ok()) return failed;
-  return result;
+  return failed;
 }
 
 }  // namespace clouddb::harness

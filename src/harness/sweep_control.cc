@@ -1,27 +1,19 @@
 #include "harness/sweep_control.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <optional>
-#include <thread>
-
 #include "common/result.h"
 #include "common/status.h"
 #include "common/str_util.h"
 #include "common/table_writer.h"
 #include "harness/control_experiment.h"
+#include "harness/sweep.h"
 #include "common/time_types.h"
 
 namespace clouddb::harness {
-namespace {
 
 std::string BoundLabel(SimDuration bound) {
   if (bound < 0) return "unbounded";
   return StrFormat("%lldms", static_cast<long long>(bound / 1000));
 }
-
-}  // namespace
 
 const ControlSweepCell* ControlSweepResult::Find(SimDuration bound,
                                                  int users) const {
@@ -31,55 +23,8 @@ const ControlSweepCell* ControlSweepResult::Find(SimDuration bound,
   return nullptr;
 }
 
-double ControlSweepResult::AchievedFreshness(SimDuration bound,
-                                             int users) const {
-  const ControlSweepCell* cell = Find(bound, users);
-  return cell == nullptr ? 0.0 : cell->result.achieved_freshness_pct;
-}
-
-double ControlSweepResult::MasterOffload(SimDuration bound, int users) const {
-  const ControlSweepCell* cell = Find(bound, users);
-  return cell == nullptr ? 0.0 : cell->result.master_offload_pct;
-}
-
-int ControlSweepResult::PeakReplicas(SimDuration bound, int users) const {
-  const ControlSweepCell* cell = Find(bound, users);
-  return cell == nullptr ? 0 : cell->result.peak_active_slaves;
-}
-
-TableWriter ControlSweepResult::FreshnessTable(
-    const std::vector<SimDuration>& bounds,
-    const std::vector<int>& user_counts) const {
-  std::vector<std::string> header = {"SLA bound"};
-  for (int u : user_counts) header.push_back(StrFormat("%d users", u));
-  TableWriter table(std::move(header));
-  for (SimDuration b : bounds) {
-    std::vector<std::string> row = {BoundLabel(b)};
-    for (int u : user_counts) {
-      row.push_back(StrFormat("%.2f%%", AchievedFreshness(b, u)));
-    }
-    table.AddRow(std::move(row));
-  }
-  return table;
-}
-
-TableWriter ControlSweepResult::OffloadTable(
-    const std::vector<SimDuration>& bounds,
-    const std::vector<int>& user_counts) const {
-  std::vector<std::string> header = {"SLA bound"};
-  for (int u : user_counts) header.push_back(StrFormat("%d users", u));
-  TableWriter table(std::move(header));
-  for (SimDuration b : bounds) {
-    std::vector<std::string> row = {BoundLabel(b)};
-    for (int u : user_counts) {
-      row.push_back(StrFormat("%.1f%%", MasterOffload(b, u)));
-    }
-    table.AddRow(std::move(row));
-  }
-  return table;
-}
-
-TableWriter ControlSweepResult::ReplicaTable(
+TableWriter ControlSweepResult::FigureTable(
+    const std::function<std::string(const ControlExperimentResult&)>& text,
     const std::vector<SimDuration>& bounds,
     const std::vector<int>& user_counts) const {
   std::vector<std::string> header = {"SLA bound"};
@@ -89,14 +34,7 @@ TableWriter ControlSweepResult::ReplicaTable(
     std::vector<std::string> row = {BoundLabel(b)};
     for (int u : user_counts) {
       const ControlSweepCell* cell = Find(b, u);
-      row.push_back(
-          cell == nullptr
-              ? std::string("-")
-              : StrFormat("peak %d, final %d (+%lld/-%lld)",
-                          cell->result.peak_active_slaves,
-                          cell->result.final_active_slaves,
-                          static_cast<long long>(cell->result.scale_outs),
-                          static_cast<long long>(cell->result.scale_ins)));
+      row.push_back(cell == nullptr ? std::string("-") : text(cell->result));
     }
     table.AddRow(std::move(row));
   }
@@ -105,12 +43,10 @@ TableWriter ControlSweepResult::ReplicaTable(
 
 namespace {
 
-/// Planned grid cell: seeds derived from grid coordinates up front, exactly
-/// like harness::RunSweep — the parallel runner's output must be
-/// byte-identical to the serial one.
+/// One grid cell and its run configuration, seeds derived from the grid
+/// coordinates up front exactly like harness::RunSweep.
 struct PlannedControlCell {
-  SimDuration bound = 0;
-  int users = 0;
+  ControlSweepCell cell;
   ControlExperimentConfig run;
 };
 
@@ -130,7 +66,8 @@ std::vector<PlannedControlCell> PlanCells(const ControlSweepConfig& config) {
       if (!run.placement_seed.has_value()) {
         run.placement_seed = config.base.seed * 131 + config.seed_salt;
       }
-      cells.push_back(PlannedControlCell{bound, users, std::move(run)});
+      cells.push_back(PlannedControlCell{ControlSweepCell{bound, users, {}},
+                                         std::move(run)});
     }
   }
   return cells;
@@ -141,69 +78,8 @@ std::vector<PlannedControlCell> PlanCells(const ControlSweepConfig& config) {
 Result<ControlSweepResult> RunControlSweep(
     const ControlSweepConfig& config,
     const std::function<void(const ControlSweepCell&)>& progress) {
-  const std::vector<PlannedControlCell> cells = PlanCells(config);
-  const size_t n = cells.size();
-  ControlSweepResult result;
-
-  int jobs = config.jobs;
-  if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
-  if (jobs < 1) jobs = 1;
-  if (jobs > static_cast<int>(n)) jobs = static_cast<int>(n);
-
-  if (jobs <= 1) {
-    for (const PlannedControlCell& cell : cells) {
-      auto outcome = RunControlExperiment(cell.run);
-      if (!outcome.ok()) return outcome.status();
-      ControlSweepCell done{cell.bound, cell.users,
-                            std::move(outcome).value()};
-      if (progress) progress(done);
-      result.Add(std::move(done));
-    }
-    return result;
-  }
-
-  // Parallel runner: independent single-threaded Simulations per cell; the
-  // main thread consumes outcomes strictly in grid order (see RunSweep).
-  std::vector<std::optional<Result<ControlExperimentResult>>> outcomes(n);
-  std::atomic<size_t> cursor{0};
-  std::mutex mu;
-  std::condition_variable cell_ready;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) {
-    workers.emplace_back([&] {
-      for (;;) {
-        size_t i = cursor.fetch_add(1);
-        if (i >= n) return;
-        Result<ControlExperimentResult> outcome =
-            RunControlExperiment(cells[i].run);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          outcomes[i] = std::move(outcome);
-        }
-        cell_ready.notify_all();
-      }
-    });
-  }
-
-  Status failed = Status::Ok();
-  for (size_t i = 0; i < n; ++i) {
-    std::unique_lock<std::mutex> lock(mu);
-    cell_ready.wait(lock, [&] { return outcomes[i].has_value(); });
-    Result<ControlExperimentResult>& outcome = *outcomes[i];
-    if (!outcome.ok()) {
-      failed = outcome.status();
-      break;
-    }
-    ControlSweepCell done{cells[i].bound, cells[i].users,
-                          std::move(outcome).value()};
-    lock.unlock();
-    if (progress) progress(done);
-    result.Add(std::move(done));
-  }
-  for (std::thread& worker : workers) worker.join();
-  if (!failed.ok()) return failed;
-  return result;
+  return RunPlannedGrid<ControlSweepResult>(PlanCells(config), config.jobs,
+                                            RunControlExperiment, progress);
 }
 
 }  // namespace clouddb::harness

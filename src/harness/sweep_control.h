@@ -41,21 +41,19 @@ class ControlSweepResult {
   const std::vector<ControlSweepCell>& cells() const { return cells_; }
   const ControlSweepCell* Find(SimDuration bound, int users) const;
 
-  double AchievedFreshness(SimDuration bound, int users) const;
-  double MasterOffload(SimDuration bound, int users) const;
-  int PeakReplicas(SimDuration bound, int users) const;
-
-  /// Figure tables: one row per SLA bound, one column per offered load.
-  TableWriter FreshnessTable(const std::vector<SimDuration>& bounds,
-                             const std::vector<int>& user_counts) const;
-  TableWriter OffloadTable(const std::vector<SimDuration>& bounds,
-                           const std::vector<int>& user_counts) const;
-  TableWriter ReplicaTable(const std::vector<SimDuration>& bounds,
-                           const std::vector<int>& user_counts) const;
+  /// Figure table: one row per SLA bound, one column per offered load, each
+  /// cell rendered by `text` ("-" where the grid has no such cell).
+  TableWriter FigureTable(
+      const std::function<std::string(const ControlExperimentResult&)>& text,
+      const std::vector<SimDuration>& bounds,
+      const std::vector<int>& user_counts) const;
 
  private:
   std::vector<ControlSweepCell> cells_;
 };
+
+/// Row label of an SLA bound: "250ms", or "unbounded" when negative.
+std::string BoundLabel(SimDuration bound);
 
 /// Runs every (bound, users) combination, on `config.jobs` worker threads
 /// when > 1; `progress` fires on the calling thread in grid order.

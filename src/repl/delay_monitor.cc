@@ -3,7 +3,6 @@
 #include "common/result.h"
 #include "common/stats.h"
 #include "db/database.h"
-#include "db/statement_cache.h"
 #include "db/value.h"
 
 namespace clouddb::repl {
@@ -12,18 +11,10 @@ std::map<int64_t, int64_t> ReadHeartbeats(db::Database& database,
                                           const std::string& table) {
   std::map<int64_t, int64_t> out;
   if (database.GetTable(table) == nullptr) return out;
-  // The scan is issued through the statement cache: the first poll parses
-  // the SELECT once, every later poll binds the same template again (the
-  // same parse-once discipline the apply path uses). Pollers run this every
-  // heartbeat period, so re-parsing here was pure overhead.
-  const std::string sql = "SELECT hb_id, ts FROM " + table;
-  Result<db::ExecResult> rows = [&]() -> Result<db::ExecResult> {
-    if (database.statement_cache_enabled()) {
-      Result<db::PreparedCall> call = database.Prepare(sql);
-      if (call.ok()) return database.ExecutePrepared(*call, sql, nullptr);
-    }
-    return database.Execute(sql);
-  }();
+  // Execute goes through the statement cache when it is on: the first poll
+  // parses the SELECT once, every later poll binds the same template again.
+  Result<db::ExecResult> rows =
+      database.Execute("SELECT hb_id, ts FROM " + table);
   if (!rows.ok()) return out;
   int id_col = -1;
   int ts_col = -1;

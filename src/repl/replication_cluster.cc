@@ -50,6 +50,12 @@ int ReplicationCluster::num_active_slaves() const {
   return active;
 }
 
+std::vector<SlaveNode*> ReplicationCluster::slaves() {
+  std::vector<SlaveNode*> out;
+  for (auto& slave : slaves_) out.push_back(slave.get());
+  return out;
+}
+
 Status ReplicationCluster::SnapshotInto(SlaveNode* slave) {
   db::Database& src = master_->database();
   db::Database& dst = slave->database();
@@ -59,19 +65,14 @@ Status ReplicationCluster::SnapshotInto(SlaveNode* slave) {
                                 table->schema().ToString().c_str());
     auto created = dst.Execute(ddl);
     if (!created.ok()) return created.status();
-    // One INSERT shape per table: prepare once, bind each row's literals —
-    // the restore costs one parse per table, not one per row.
+    // One INSERT shape per table: with the statement cache on, Execute
+    // prepares it once and binds each row's literals — the restore costs one
+    // parse per table, not one per row.
     Status row_status = Status::Ok();
     table->ScanAll([&](db::RowId, const db::Row& row) {
-      std::string sql = StrFormat("INSERT INTO %s VALUES %s", name.c_str(),
-                                  db::RowToString(row).c_str());
-      Result<db::ExecResult> inserted = [&]() -> Result<db::ExecResult> {
-        if (dst.statement_cache_enabled()) {
-          Result<db::PreparedCall> call = dst.Prepare(sql);
-          if (call.ok()) return dst.ExecutePrepared(*call, sql, nullptr);
-        }
-        return dst.Execute(sql);
-      }();
+      Result<db::ExecResult> inserted =
+          dst.Execute(StrFormat("INSERT INTO %s VALUES %s", name.c_str(),
+                                db::RowToString(row).c_str()));
       if (!inserted.ok()) {
         row_status = inserted.status();
         return false;

@@ -42,6 +42,8 @@ class ReplicationCluster {
   // NOLINTNEXTLINE(clouddb-narrowing): cluster size is operator-configured and tiny
   int num_slaves() const { return static_cast<int>(slaves_.size()); }
   int num_active_slaves() const;
+  /// slave(0) .. slave(num_slaves() - 1), retired ones included.
+  std::vector<SlaveNode*> slaves();
   const ClusterConfig& config() const { return config_; }
 
   /// Elastic scale-out (the control loop's actuator): launches a fresh

@@ -114,8 +114,7 @@ class SlaveNode : public DbNode {
   /// missing. While the master is unreachable (crashed, partitioned) the
   /// request is retried with exponential backoff bounded by
   /// `options.max_backoff`. Call StopAutoResync() before draining the
-  /// simulation — like ClusterMonitor/HeartbeatPlugin, the keepalive is a
-  /// repeating event.
+  /// simulation — like HeartbeatPlugin, the keepalive is a repeating event.
   void StartAutoResync(const ReconnectOptions& options = {});
   void StopAutoResync();
   bool auto_resync_enabled() const { return auto_resync_; }

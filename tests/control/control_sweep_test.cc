@@ -5,9 +5,14 @@
 
 #include "harness/sweep_control.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "client/rw_split_proxy.h"
+#include "common/status.h"
+#include "common/str_util.h"
 #include "common/time_types.h"
 #include "harness/control_experiment.h"
 
@@ -76,20 +81,15 @@ TEST(ControlSweepTest, ParallelJobsAreByteIdenticalToSerial) {
   auto parallel = RunControlSweep(sweep);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
+  auto text = [](const ControlExperimentResult& r) {
+    return StrFormat("%.2f%% %.1f%% %d/%d", r.achieved_freshness_pct,
+                     r.master_offload_pct, r.peak_active_slaves,
+                     r.final_active_slaves);
+  };
   EXPECT_EQ(
-      serial->FreshnessTable(sweep.staleness_bounds, sweep.user_counts)
+      serial->FigureTable(text, sweep.staleness_bounds, sweep.user_counts)
           .ToAscii(),
-      parallel->FreshnessTable(sweep.staleness_bounds, sweep.user_counts)
-          .ToAscii());
-  EXPECT_EQ(
-      serial->OffloadTable(sweep.staleness_bounds, sweep.user_counts)
-          .ToAscii(),
-      parallel->OffloadTable(sweep.staleness_bounds, sweep.user_counts)
-          .ToAscii());
-  EXPECT_EQ(
-      serial->ReplicaTable(sweep.staleness_bounds, sweep.user_counts)
-          .ToAscii(),
-      parallel->ReplicaTable(sweep.staleness_bounds, sweep.user_counts)
+      parallel->FigureTable(text, sweep.staleness_bounds, sweep.user_counts)
           .ToAscii());
   ASSERT_EQ(serial->cells().size(), parallel->cells().size());
   for (size_t i = 0; i < serial->cells().size(); ++i) {
@@ -113,7 +113,37 @@ TEST(ControlSweepTest, GridIsCompleteAndOrdered) {
   ASSERT_NE(result->Find(SimDuration{0}, 2), nullptr);
   // Bound 0 never trusts a replica: full master fallback.
   EXPECT_EQ(result->Find(SimDuration{0}, 2)->result.bounded_to_slave, 0);
-  EXPECT_EQ(result->MasterOffload(SimDuration{0}, 2), 0.0);
+  EXPECT_EQ(result->Find(SimDuration{0}, 2)->result.master_offload_pct, 0.0);
+  // Table cells the grid lacks render as "-".
+  std::string table =
+      result
+          ->FigureTable([](const ControlExperimentResult&) { return "x"; },
+                        {SimDuration{0}}, {2, 3})
+          .ToCsv();
+  EXPECT_NE(table.find("0ms,x,-"), std::string::npos) << table;
+}
+
+TEST(ControlSweepTest, FailingCellsFailTheSweepForEveryJobCount) {
+  // Every cell fails at set-up (the parser rejects the heartbeat table's
+  // CREATE TABLE): serial and threaded runs return the same error and
+  // deliver no cell.
+  ControlSweepConfig sweep;
+  sweep.base = ShortConfig();
+  sweep.base.heartbeat.table = "bad name";
+  sweep.staleness_bounds = {Millis(250), client::kNoStalenessBound};
+  sweep.user_counts = {2, 4};
+  std::vector<Status> errors;
+  for (int jobs : {1, 4}) {
+    sweep.jobs = jobs;
+    int progress_calls = 0;
+    auto result = RunControlSweep(
+        sweep, [&](const ControlSweepCell&) { ++progress_calls; });
+    ASSERT_FALSE(result.ok()) << "jobs=" << jobs;
+    EXPECT_EQ(progress_calls, 0) << "jobs=" << jobs;
+    errors.push_back(result.status());
+  }
+  EXPECT_EQ(errors[0].code(), errors[1].code());
+  EXPECT_EQ(errors[0].ToString(), errors[1].ToString());
 }
 
 }  // namespace

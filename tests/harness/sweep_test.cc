@@ -1,4 +1,5 @@
 #include "harness/sweep.h"
+#include "common/status.h"
 #include "common/table_writer.h"
 #include "common/time_types.h"
 
@@ -54,13 +55,13 @@ TEST(SweepTest, TablesHaveOneRowPerWorkload) {
   SweepConfig sweep = QuickSweep();
   auto result = RunSweep(sweep);
   ASSERT_TRUE(result.ok());
-  TableWriter throughput =
-      result->ThroughputTable(sweep.slave_counts, sweep.user_counts);
+  TableWriter throughput = result->FigureTable(
+      &SweepResult::Throughput, sweep.slave_counts, sweep.user_counts);
   EXPECT_EQ(throughput.num_rows(), sweep.user_counts.size());
   std::string csv = throughput.ToCsv();
   EXPECT_NE(csv.find("users,1 slave,2 slaves"), std::string::npos);
-  TableWriter delay = result->DelayTable(sweep.slave_counts,
-                                         sweep.user_counts);
+  TableWriter delay = result->FigureTable(
+      &SweepResult::RelativeDelay, sweep.slave_counts, sweep.user_counts);
   EXPECT_EQ(delay.num_rows(), sweep.user_counts.size());
 }
 
@@ -101,14 +102,31 @@ TEST(SweepTest, ParallelJobsAreByteIdenticalToSerial) {
           << "slaves=" << s << " users=" << u;
     }
   }
-  EXPECT_EQ(serial_result->ThroughputTable(serial.slave_counts,
-                                           serial.user_counts).ToCsv(),
-            parallel_result->ThroughputTable(parallel.slave_counts,
-                                             parallel.user_counts).ToCsv());
-  EXPECT_EQ(serial_result->DelayTable(serial.slave_counts,
-                                      serial.user_counts).ToCsv(),
-            parallel_result->DelayTable(parallel.slave_counts,
-                                        parallel.user_counts).ToCsv());
+  for (auto value : {&SweepResult::Throughput, &SweepResult::RelativeDelay}) {
+    EXPECT_EQ(serial_result->FigureTable(value, serial.slave_counts,
+                                         serial.user_counts).ToCsv(),
+              parallel_result->FigureTable(value, parallel.slave_counts,
+                                           parallel.user_counts).ToCsv());
+  }
+}
+
+TEST(SweepTest, FailingCellsFailTheSweepForEveryJobCount) {
+  // Every cell fails at set-up (the parser rejects the heartbeat table's
+  // CREATE TABLE): serial and threaded runs return the same error and
+  // deliver no cell.
+  SweepConfig sweep = QuickSweep();
+  sweep.base.heartbeat.table = "bad name";
+  std::vector<Status> errors;
+  for (int jobs : {1, 4}) {
+    sweep.jobs = jobs;
+    int progress_calls = 0;
+    auto result = RunSweep(sweep, [&](const SweepCell&) { ++progress_calls; });
+    ASSERT_FALSE(result.ok()) << "jobs=" << jobs;
+    EXPECT_EQ(progress_calls, 0) << "jobs=" << jobs;
+    errors.push_back(result.status());
+  }
+  EXPECT_EQ(errors[0].code(), errors[1].code());
+  EXPECT_EQ(errors[0].ToString(), errors[1].ToString());
 }
 
 TEST(SweepTest, JobsZeroMeansHardwareConcurrency) {
