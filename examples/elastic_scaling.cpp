@@ -33,34 +33,6 @@
 
 using namespace clouddb;
 
-namespace {
-
-/// Copies the master's current contents into a fresh slave (the snapshot
-/// restore an operator performs before attaching a replica).
-void RestoreSnapshot(repl::MasterNode& master, repl::SlaveNode* slave) {
-  for (const std::string& name : master.database().TableNames()) {
-    const db::Table* src = master.database().GetTable(name);
-    std::string ddl = StrFormat("CREATE TABLE %s %s", name.c_str(),
-                                src->schema().ToString().c_str());
-    // Recreate the schema (Schema::ToString renders valid column defs).
-    auto created = slave->database().Execute(ddl);
-    if (!created.ok()) {
-      std::printf("snapshot DDL failed: %s\n",
-                  created.status().ToString().c_str());
-      continue;
-    }
-    src->ScanAll([&](db::RowId, const db::Row& row) {
-      auto inserted = slave->database().Execute(StrFormat(
-          "INSERT INTO %s VALUES %s", name.c_str(),
-          db::RowToString(row).c_str()));
-      (void)inserted;
-      return true;
-    });
-  }
-}
-
-}  // namespace
-
 int main() {
   sim::Simulation sim;
   cloud::CloudOptions cloud_options;
@@ -103,7 +75,9 @@ int main() {
   }
   {
     repl::SlaveNode* first = launch_slave();
-    RestoreSnapshot(master, first);
+    // Seed it with the master's contents (the snapshot restore an operator
+    // performs before attaching a replica).
+    first->database().CopyTablesFrom(master.database());
     master.AttachSlave(first);
   }
 
@@ -168,7 +142,7 @@ int main() {
       action = "+40 users";
     } else if (worst > 0.9 && slaves.size() < 8 && master_util < 0.95) {
       repl::SlaveNode* fresh = launch_slave();
-      RestoreSnapshot(master, fresh);
+      fresh->database().CopyTablesFrom(master.database());
       master.AttachSlave(fresh);
       proxy->AddSlave(fresh);
       prev_busy.resize(slaves.size() + 8, 0);

@@ -523,6 +523,8 @@ class Executor {
     ExecResult result;
     CLOUDDB_ASSIGN_OR_RETURN(std::vector<RowId> matches,
                              CollectMatches(table, stmt.where.get(), &result));
+    // Update never inserts, so `old_row` stays valid until the row is
+    // replaced below.
     for (RowId id : matches) {
       const Row* old_row = table->Get(id);
       Row new_row = *old_row;
@@ -680,7 +682,8 @@ class Executor {
   /// `match_rows`, when non-null and the vectorized filter ran, receives the
   /// row pointer for each returned RowId (1:1 with the result). Callers must
   /// check sizes match before using it — scalar paths leave it empty — and
-  /// must not mutate the table while holding the pointers.
+  /// must not mutate the table while holding the pointers (an Insert may
+  /// move every row; only SELECT passes `match_rows`).
   Result<std::vector<RowId>> CollectMatches(
       Table* table, const Expr* where, ExecResult* meta,
       int64_t limit_hint = -1, size_t order_col = SIZE_MAX,
@@ -1069,6 +1072,14 @@ std::vector<std::string> Database::TableNames() const {
 void Database::SetTimeSource(std::function<int64_t()> now_micros) {
   options_.now_micros = now_micros;
   functions_.SetTimeSource(std::move(now_micros));
+}
+
+void Database::CopyTablesFrom(const Database& source) {
+  tables_.clear();
+  for (const auto& [key, table] : source.tables_) {
+    tables_.emplace(key, table->Clone());
+  }
+  statement_cache_.Invalidate();
 }
 
 bool Database::ValidateAllIndexes(std::string* error) const {

@@ -173,6 +173,12 @@ class Database {
   /// logging when it becomes the master).
   void set_binlog_enabled(bool enabled) { options_.enable_binlog = enabled; }
 
+  /// Replaces every table with a copy of `source`'s (Table::Clone: schema,
+  /// rows under their RowIds, every index) — the snapshot a replica is
+  /// seeded or resynchronized from. Drops this database's cached statement
+  /// templates, as DDL does. Binlog, sessions and engine options are kept.
+  void CopyTablesFrom(const Database& source);
+
   /// True when every table's indexes are internally consistent (test hook).
   bool ValidateAllIndexes(std::string* error) const;
 

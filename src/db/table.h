@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -11,15 +10,12 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "db/bplus_tree.h"
+#include "db/index.h"
 #include "db/schema.h"
 #include "db/value.h"
 #include "db/writeset.h"
 
 namespace clouddb::db {
-
-/// Internal row identifier; stable for the life of the row.
-using RowId = int64_t;
 
 /// Access paths the executor can choose for a statement.
 enum class AccessPathKind { kPkEq, kIndexEq, kIndexRange, kTableScan };
@@ -38,25 +34,15 @@ struct PlanHint {
   std::string ordered_by;  // ExecResult.scan_ordered_by
 };
 
-/// Composite key for secondary (non-unique) indexes: the indexed value plus
-/// the row id as a tiebreaker, making every key unique in the B+Tree.
-struct SecondaryKey {
-  Value value;
-  RowId row_id;
-
-  friend bool operator<(const SecondaryKey& a, const SecondaryKey& b) {
-    int c = Value::Compare(a.value, b.value);
-    if (c != 0) return c < 0;
-    return a.row_id < b.row_id;
-  }
-};
-
 /// A heap of rows plus indexes.
 ///
-/// - Rows live in an id-addressed store; RowIds are assigned monotonically.
-/// - If the schema declares a PRIMARY KEY, a unique B+Tree index over it is
+/// - Rows live in a dense slot array: slot i holds RowId i + 1. RowIds are
+///   assigned monotonically and never reused, so slot order is insertion
+///   order; a deleted row leaves a dead (empty) slot behind.
+/// - If the schema declares a PRIMARY KEY, a unique index over it is
 ///   maintained automatically and uniqueness is enforced.
-/// - Any column can get a secondary (non-unique) B+Tree index.
+/// - Any column can get a secondary (non-unique) index. Both kinds are
+///   db::Index.
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -64,9 +50,14 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
+  /// A deep copy: schema, every row under its RowId, and every index
+  /// bulk-loaded from the source index's key order. The planner memo starts
+  /// empty.
+  std::unique_ptr<Table> Clone() const;
+
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return live_rows_; }
 
   /// Validates and inserts `row`; enforces PK uniqueness. Returns the new
   /// RowId.
@@ -99,8 +90,13 @@ class Table {
   /// row-based vs statement-based ablation tests.
   uint64_t ContentsHash() const;
 
-  /// Row access (nullptr if the id is dead).
-  const Row* Get(RowId id) const;
+  /// Row access (nullptr if the id is dead). The pointer is invalidated by
+  /// any later Insert or RestoreRow, which may grow the slot array.
+  const Row* Get(RowId id) const {
+    if (id < 1 || static_cast<size_t>(id) > slots_.size()) return nullptr;
+    const Row& row = slots_[static_cast<size_t>(id) - 1];
+    return row.empty() ? nullptr : &row;
+  }
 
   /// Looks up by primary key. Requires a declared primary key.
   Result<RowId> FindByPrimaryKey(const Value& key) const;
@@ -117,8 +113,9 @@ class Table {
   std::vector<std::pair<std::string, std::string>> SecondaryIndexes() const;
 
   /// Visits RowIds whose `column` value is within [lo, hi] (either bound
-  /// optional). Uses the secondary index on that column — callers check
-  /// `HasIndexOn` first; returns FailedPrecondition otherwise.
+  /// optional), in key order. Uses the index on that column, the primary
+  /// key's first — callers check `HasIndexOn` first; returns
+  /// FailedPrecondition otherwise.
   /// Visitor: bool(RowId) — return false to stop.
   Status ScanIndex(size_t column_index, const Value* lo, bool lo_inclusive,
                    const Value* hi, bool hi_inclusive,
@@ -139,8 +136,9 @@ class Table {
   /// Visitor: bool(RowId, const Row&) — return false to stop.
   template <typename Visitor>
   void ForEachRow(Visitor&& visit) const {
-    for (const auto& [id, row] : rows_) {
-      if (!visit(id, row)) return;
+    for (size_t slot = 0; slot < slots_.size(); ++slot) {
+      if (slots_[slot].empty()) continue;
+      if (!visit(IdOf(slot), slots_[slot])) return;
     }
   }
 
@@ -154,9 +152,10 @@ class Table {
     RowId ids[N];
     const Row* rows[N];
     size_t len = 0;
-    for (const auto& [id, row] : rows_) {
-      ids[len] = id;
-      rows[len] = &row;
+    for (size_t slot = 0; slot < slots_.size(); ++slot) {
+      if (slots_[slot].empty()) continue;
+      ids[len] = IdOf(slot);
+      rows[len] = &slots_[slot];
       if (++len == N) {
         if (!visit(ids, rows, len)) return;
         len = 0;
@@ -166,9 +165,11 @@ class Table {
   }
 
   /// Removes all rows (indexes cleared; schema and index definitions kept).
+  /// RowIds restart at 1, which keeps every later row after every earlier
+  /// one — the only thing RowIds promise.
   void Truncate();
 
-  /// Deep equality of contents (schemas equal, same multiset of rows);
+  /// Deep equality of contents (same column count, same multiset of rows);
   /// used to assert master/slave convergence.
   static bool ContentsEqual(const Table& a, const Table& b);
 
@@ -193,29 +194,35 @@ class Table {
   static constexpr size_t kPlanMemoMaxShapes = 64;
 
  private:
-  struct SecondaryIndex {
-    std::string name;
-    size_t column;
-    std::unique_ptr<BPlusTree<SecondaryKey, RowId>> tree;
-  };
+  static RowId IdOf(size_t slot) { return static_cast<RowId>(slot) + 1; }
+  /// The live row `id`, or nullptr (mutable Get).
+  Row* LiveSlot(RowId id) { return const_cast<Row*>(Get(id)); }
+  /// The index that answers probes on `column` (the primary key's first).
+  const Index* IndexOn(size_t column_index) const;
+  const Index* primary() const {
+    return HasPrimaryKey() ? &indexes_.front() : nullptr;
+  }
 
+  /// Adds `row`'s entry to every index; fails (no index changed) on a
+  /// duplicate primary key.
   Status IndexInsert(RowId id, const Row& row);
   void IndexErase(RowId id, const Row& row);
-  /// The live row matching `image` (see ApplyRowDelta). Returns the rows_
-  /// iterator so the delta path mutates in place instead of re-finding the
-  /// row it just located.
-  Result<std::map<RowId, Row>::iterator> LocateByImage(const Row& image);
-  /// Index-maintaining in-place update of `it`'s row; shared by Update and
-  /// the row-delta fast path.
-  Status UpdateLocated(std::map<RowId, Row>::iterator it, Row new_row);
+  /// The live row matching `image` (see ApplyRowDelta).
+  Result<RowId> LocateByImage(const Row& image) const;
+  /// Index-maintaining in-place update of live row `id`; shared by Update
+  /// and the row-delta fast path.
+  Status UpdateLocated(RowId id, Row new_row);
 
   std::string name_;
   Schema schema_;
-  RowId next_row_id_ = 1;
-  // std::map keeps ScanAll deterministic in RowId order.
-  std::map<RowId, Row> rows_;
-  std::unique_ptr<BPlusTree<Value, RowId>> primary_;  // null if no PK
-  std::vector<SecondaryIndex> secondary_;
+  // Slot i holds RowId i + 1. An empty Row marks a dead slot: Schema::Create
+  // rejects zero-column tables, so no live row is empty. The next RowId is
+  // slots_.size() + 1.
+  std::vector<Row> slots_;
+  size_t live_rows_ = 0;
+  // The primary key's unique index first (when declared), then the
+  // secondary indexes in creation order.
+  std::vector<Index> indexes_;
   std::unordered_map<std::string, PlanHint> plan_memo_;
 };
 

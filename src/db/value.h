@@ -115,6 +115,9 @@ class Value {
 /// A tuple of values; the engine's row representation.
 using Row = std::vector<Value>;
 
+/// Internal row identifier; stable for the life of the row.
+using RowId = int64_t;
+
 /// Renders a row as "(v1, v2, ...)" using SQL literals.
 std::string RowToString(const Row& row);
 

@@ -18,6 +18,7 @@
 #include "db/database.h"
 #include "repl/heartbeat.h"
 #include "repl/replication_cluster.h"
+#include "repl/slave_node.h"
 #include "sim/simulation.h"
 
 namespace clouddb::harness {
@@ -91,14 +92,19 @@ Deployment::Deployment(const ExperimentConfig& config)
 Result<std::unique_ptr<Deployment>> Deployment::Build(
     const ExperimentConfig& config) {
   std::unique_ptr<Deployment> d(new Deployment(config));
-  // Pre-load every replica with identical data.
+  // Load the master, then seed every slave with a copy of its tables — the
+  // dump-and-restore a MySQL slave starts from. The replicas come out
+  // exactly as if each had executed the load itself.
   uint64_t load_seed = d->seeder.NextU64();
   repl::ReplicationCluster& cluster = d->cluster;
   CLOUDDB_RETURN_IF_ERROR(cloudstone::LoadInitialData(
       [&](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
+        return cluster.ExecuteOnMasterDirect(sql);
       },
       config.data_scale, load_seed, &d->state));
+  for (repl::SlaveNode* slave : cluster.slaves()) {
+    slave->database().CopyTablesFrom(cluster.master()->database());
+  }
   d->heartbeat.emplace(&d->sim, cluster.master(), config.heartbeat);
   CLOUDDB_RETURN_IF_ERROR(d->heartbeat->CreateTable());
   d->heartbeat->Start();

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/str_util.h"
 #include "common/status.h"
 #include "db/database.h"
-#include "db/table.h"
-#include "db/value.h"
 #include "net/network.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
@@ -16,36 +13,7 @@
 namespace clouddb::repl {
 
 Status ResyncDatabase(const db::Database& source, db::Database* target) {
-  // Drop everything the target has...
-  for (const std::string& name : target->TableNames()) {
-    auto dropped = target->Execute(StrFormat("DROP TABLE %s", name.c_str()));
-    if (!dropped.ok()) return dropped.status();
-  }
-  // ...and rebuild it from the source: schema, rows, secondary indexes.
-  for (const std::string& name : source.TableNames()) {
-    const db::Table* table = source.GetTable(name);
-    auto created = target->Execute(StrFormat(
-        "CREATE TABLE %s %s", name.c_str(), table->schema().ToString().c_str()));
-    if (!created.ok()) return created.status();
-    Status insert_status;
-    table->ScanAll([&](db::RowId, const db::Row& row) {
-      auto inserted = target->Execute(
-          StrFormat("INSERT INTO %s VALUES %s", name.c_str(),
-                    db::RowToString(row).c_str()));
-      if (!inserted.ok()) {
-        insert_status = inserted.status();
-        return false;
-      }
-      return true;
-    });
-    if (!insert_status.ok()) return insert_status;
-    for (const auto& [index_name, column] : table->SecondaryIndexes()) {
-      auto indexed = target->Execute(StrFormat(
-          "CREATE INDEX %s ON %s (%s)", index_name.c_str(), name.c_str(),
-          column.c_str()));
-      if (!indexed.ok()) return indexed.status();
-    }
-  }
+  target->CopyTablesFrom(source);
   return Status::Ok();
 }
 

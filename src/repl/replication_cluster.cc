@@ -10,7 +10,6 @@
 #include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "db/table.h"
-#include "db/value.h"
 #include "net/network.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
@@ -56,34 +55,6 @@ std::vector<SlaveNode*> ReplicationCluster::slaves() {
   return out;
 }
 
-Status ReplicationCluster::SnapshotInto(SlaveNode* slave) {
-  db::Database& src = master_->database();
-  db::Database& dst = slave->database();
-  for (const std::string& name : src.TableNames()) {
-    const db::Table* table = src.GetTable(name);
-    std::string ddl = StrFormat("CREATE TABLE %s %s", name.c_str(),
-                                table->schema().ToString().c_str());
-    auto created = dst.Execute(ddl);
-    if (!created.ok()) return created.status();
-    // One INSERT shape per table: with the statement cache on, Execute
-    // prepares it once and binds each row's literals — the restore costs one
-    // parse per table, not one per row.
-    Status row_status = Status::Ok();
-    table->ScanAll([&](db::RowId, const db::Row& row) {
-      Result<db::ExecResult> inserted =
-          dst.Execute(StrFormat("INSERT INTO %s VALUES %s", name.c_str(),
-                                db::RowToString(row).c_str()));
-      if (!inserted.ok()) {
-        row_status = inserted.status();
-        return false;
-      }
-      return true;
-    });
-    if (!row_status.ok()) return row_status;
-  }
-  return Status::Ok();
-}
-
 Result<int> ReplicationCluster::AddSlave() {
   sim::Simulation* sim = &provider_->simulation();
   net::Network* network = &provider_->network();
@@ -96,7 +67,7 @@ Result<int> ReplicationCluster::AddSlave() {
       master_->database().statement_cache_enabled());
   slave->database().set_vectorized_exec_enabled(
       master_->database().vectorized_exec_enabled());
-  CLOUDDB_RETURN_IF_ERROR(SnapshotInto(slave.get()));
+  slave->database().CopyTablesFrom(master_->database());
   // The snapshot covers every event already in the binlog; attaching now
   // streams everything committed from this instant on.
   slave->SeedFromSnapshot(master_->binlog_size() - 1);
@@ -134,20 +105,30 @@ bool ReplicationCluster::IsSlaveRetired(int i) const {
   return i >= 0 && i < num_slaves() && retired_[static_cast<size_t>(i)];
 }
 
+Status ReplicationCluster::ExecuteOnMasterDirect(const std::string& sql) {
+  return ExecuteDirect(sql, {});
+}
+
 Status ReplicationCluster::ExecuteEverywhereDirect(const std::string& sql) {
-  // Parse once, execute everywhere (bulk loads run this for tens of
-  // thousands of statements across up to a dozen replicas). With the
-  // statement cache on, repeated load shapes (the common case: one INSERT
-  // form per table) parse once across the *whole* load, not once per
-  // statement — the master's prepared template runs on every replica.
-  if (master_->database().statement_cache_enabled()) {
-    Result<db::PreparedCall> call = master_->database().Prepare(sql);
+  return ExecuteDirect(sql, slaves());
+}
+
+Status ReplicationCluster::ExecuteDirect(
+    const std::string& sql, const std::vector<SlaveNode*>& slaves) {
+  // Parse once, execute on every listed replica. With the statement cache
+  // on, repeated load shapes (the common case: one INSERT form per table)
+  // parse once across the *whole* load, not once per statement — the
+  // master's prepared template runs on every replica. The master's binlog
+  // is suppressed: this is a pre-load, not a write to replicate.
+  db::Database& master = master_->database();
+  if (master.statement_cache_enabled()) {
+    Result<db::PreparedCall> call = master.Prepare(sql);
     if (call.ok()) {
-      master_->database().set_binlog_suppressed(true);
-      auto result = master_->database().ExecutePrepared(*call, sql, nullptr);
-      master_->database().set_binlog_suppressed(false);
+      master.set_binlog_suppressed(true);
+      auto result = master.ExecutePrepared(*call, sql, nullptr);
+      master.set_binlog_suppressed(false);
       if (!result.ok()) return result.status();
-      for (auto& slave : slaves_) {
+      for (SlaveNode* slave : slaves) {
         auto slave_result =
             slave->database().ExecutePrepared(*call, sql, nullptr);
         if (!slave_result.ok()) return slave_result.status();
@@ -156,13 +137,11 @@ Status ReplicationCluster::ExecuteEverywhereDirect(const std::string& sql) {
     }
   }
   CLOUDDB_ASSIGN_OR_RETURN(db::Statement stmt, db::ParseSql(sql));
-  // Suppress binlogging of the pre-load on the master: slaves are loaded
-  // identically and must not re-apply these statements.
-  master_->database().set_binlog_suppressed(true);
-  auto result = master_->database().ExecuteParsed(stmt, sql, nullptr);
-  master_->database().set_binlog_suppressed(false);
+  master.set_binlog_suppressed(true);
+  auto result = master.ExecuteParsed(stmt, sql, nullptr);
+  master.set_binlog_suppressed(false);
   if (!result.ok()) return result.status();
-  for (auto& slave : slaves_) {
+  for (SlaveNode* slave : slaves) {
     auto slave_result = slave->database().ExecuteParsed(stmt, sql, nullptr);
     if (!slave_result.ok()) return slave_result.status();
   }

@@ -65,8 +65,16 @@ class ReplicationCluster {
 
   bool IsSlaveRetired(int i) const;
 
+  /// Runs `sql` directly on the master alone, bypassing CPU and the binlog:
+  /// the initial load, after which each slave is seeded with a copy of the
+  /// master's tables (db::Database::CopyTablesFrom).
+  Status ExecuteOnMasterDirect(const std::string& sql);
+
   /// Runs `sql` directly on every replica (master and slaves), bypassing CPU
-  /// and replication — identical pre-loading of all copies.
+  /// and replication — identical pre-loading of all copies, every replica
+  /// executing every statement. For a bulk load, ExecuteOnMasterDirect plus
+  /// a copy into each slave (what harness::Deployment::Build does) yields
+  /// the same replicas at a fraction of the cost.
   Status ExecuteEverywhereDirect(const std::string& sql);
 
   /// Toggles the statement cache on every replica's database (the fig2-style
@@ -96,8 +104,9 @@ class ReplicationCluster {
   bool Converged() const;
 
  private:
-  /// Copies the master's current tables into `slave` (snapshot restore).
-  Status SnapshotInto(SlaveNode* slave);
+  /// Runs `sql` on the master (binlog suppressed) and then on `slaves`.
+  Status ExecuteDirect(const std::string& sql,
+                       const std::vector<SlaveNode*>& slaves);
 
   cloud::CloudProvider* provider_;
   ClusterConfig config_;

@@ -1,5 +1,6 @@
 #include "db/database.h"
 #include "db/binlog.h"
+#include "db/table.h"
 #include "db/transaction.h"
 #include "db/value.h"
 
@@ -406,6 +407,45 @@ TEST_F(DatabaseTest, ContentsEqualAndIgnoreList) {
   ASSERT_TRUE(other.Execute("INSERT INTO hb VALUES (1, 200)").ok());
   EXPECT_FALSE(Database::ContentsEqual(db_, other));
   EXPECT_TRUE(Database::ContentsEqual(db_, other, {"hb"}));
+}
+
+TEST_F(DatabaseTest, CopyTablesFromClonesTablesIndexesAndRowIds) {
+  SetUpPeople();
+  Must("CREATE INDEX idx_age ON people (age)");
+  Must("CREATE TABLE notes (n BIGINT NOT NULL, body TEXT)");
+  Must("CREATE INDEX idx_n ON notes (n)");
+  Must("INSERT INTO notes VALUES (7, 'x')");
+  Must("DELETE FROM people WHERE id = 2");
+  Database copy;
+  ASSERT_TRUE(copy.Execute("CREATE TABLE junk (z INT)").ok());
+  ASSERT_TRUE(copy.Execute("SELECT * FROM junk").ok());  // a cached template
+  copy.CopyTablesFrom(db_);
+  EXPECT_EQ(copy.TableNames(), db_.TableNames());
+  EXPECT_EQ(copy.GetTable("junk"), nullptr);
+  EXPECT_EQ(copy.statement_cache().size(), 0u);
+  EXPECT_TRUE(Database::ContentsEqual(db_, copy));
+  std::string err;
+  EXPECT_TRUE(copy.ValidateAllIndexes(&err)) << err;
+  for (const std::string& name : db_.TableNames()) {
+    const Table* from = db_.GetTable(name);
+    const Table* to = copy.GetTable(name);
+    ASSERT_NE(to, nullptr) << name;
+    EXPECT_EQ(to->SecondaryIndexes(), from->SecondaryIndexes()) << name;
+    from->ForEachRow([&](RowId id, const Row& row) {
+      const Row* same = to->Get(id);
+      EXPECT_TRUE(same != nullptr && *same == row) << name << " row " << id;
+      return true;
+    });
+  }
+  // The copy answers through its own indexes and binlogs its own writes.
+  ExecResult r = copy.Execute("SELECT name FROM people WHERE age = 25").value();
+  EXPECT_EQ(r.plan, "index_eq(age)");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsString(), "dan");
+  int64_t binlog_before = copy.binlog().size();
+  ASSERT_TRUE(copy.Execute("INSERT INTO people VALUES (9, 'eve', 25)").ok());
+  EXPECT_EQ(copy.binlog().size(), binlog_before + 1);
+  EXPECT_FALSE(Database::ContentsEqual(db_, copy));
 }
 
 TEST_F(DatabaseTest, TableNamesListsTables) {

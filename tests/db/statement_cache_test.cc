@@ -51,7 +51,7 @@ TEST(Fingerprint, FusedScanMatchesTokenConstruction) {
 }
 
 TEST(Fingerprint, FusedScanMatchesTokenizeErrors) {
-  for (const std::string& sql :
+  for (const char* sql :
        {"SELECT 'unterminated", "SELECT @ FROM t",
         "SELECT 99999999999999999999 FROM t"}) {
     std::vector<Value> params;
@@ -105,7 +105,7 @@ TEST(Fingerprint, NeverConflatesDifferentSemantics) {
 
 TEST(Fingerprint, DdlAndTransactionControlBypass) {
   StatementCache cache;
-  for (const std::string& sql :
+  for (const char* sql :
        {"CREATE TABLE t (a INT PRIMARY KEY)", "CREATE INDEX i ON t (a)",
         "DROP TABLE t", "TRUNCATE t", "BEGIN", "COMMIT", "ROLLBACK", ""}) {
     auto call = cache.Prepare(sql);

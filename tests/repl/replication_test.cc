@@ -228,6 +228,41 @@ TEST_F(ReplicationTest, ExecuteEverywhereDirectDoesNotReplicate) {
   EXPECT_TRUE(cluster->FullyReplicated());  // trivially: empty binlog
 }
 
+TEST_F(ReplicationTest, AddSlaveCopiesTablesWithTheirIndexes) {
+  auto cluster = MakeCluster(1);
+  db::Database& master = cluster->master()->database();
+  for (const char* sql :
+       {"CREATE TABLE t (a INT PRIMARY KEY, b INT NOT NULL, c TEXT)",
+        "CREATE INDEX idx_b ON t (b)", "CREATE INDEX idx_c ON t (c)",
+        "INSERT INTO t VALUES (1, 10, 'x')", "INSERT INTO t VALUES (2, 20, 'y')",
+        "INSERT INTO t VALUES (3, 10, NULL)", "DELETE FROM t WHERE a = 2"}) {
+    ASSERT_TRUE(cluster->master()->ExecuteDirect(sql).ok()) << sql;
+  }
+  sim_.Run();
+  Result<int> added = cluster->AddSlave();
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  db::Database& fresh = cluster->slave(*added)->database();
+  for (const std::string& name : master.TableNames()) {
+    ASSERT_NE(fresh.GetTable(name), nullptr) << name;
+    EXPECT_EQ(fresh.GetTable(name)->SecondaryIndexes(),
+              master.GetTable(name)->SecondaryIndexes())
+        << name;
+  }
+  std::string err;
+  EXPECT_TRUE(fresh.ValidateAllIndexes(&err)) << err;
+  auto read = fresh.Execute("SELECT a FROM t WHERE b = 10");
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->plan, "index_eq(b)");
+  EXPECT_EQ(read->rows.size(), 2u);
+  // The new slave streams only what commits after the snapshot.
+  ASSERT_TRUE(
+      cluster->master()->ExecuteDirect("INSERT INTO t VALUES (4, 40, 'z')").ok());
+  sim_.Run();
+  EXPECT_TRUE(cluster->FullyReplicated());
+  EXPECT_TRUE(cluster->Converged());
+  EXPECT_TRUE(fresh.ValidateAllIndexes(&err)) << err;
+}
+
 TEST_F(ReplicationTest, TransactionAppliesAtomicallyOnSlave) {
   auto cluster = MakeCluster(1);
   ASSERT_TRUE(
