@@ -155,25 +155,8 @@ void BM_SqlTokenizeSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlTokenizeSelect);
 
-// Hit-path throughput on identical text: one string compare against the
-// last-call memo, no scan, no parse.
-void BM_StatementCachePrepareHit(benchmark::State& state) {
-  db::StatementCache cache;
-  const std::string sql =
-      "SELECT event_id, title, event_date FROM events "
-      "WHERE event_date >= 18200 AND created_by = 17 ORDER BY event_date "
-      "LIMIT 10";
-  (void)cache.Prepare(sql);
-  for (auto _ : state) {
-    auto call = cache.Prepare(sql);
-    benchmark::DoNotOptimize(call.ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StatementCachePrepareHit);
-
 // Hit-path throughput when the text changes call to call (fresh literals):
-// the fused fingerprint scan + LRU touch + literal binding, still no parse.
+// the fingerprint scan + LRU touch + literal binding, still no parse.
 // Compare against BM_SqlParseSelect for the per-statement work removed.
 void BM_StatementCachePrepareScanHit(benchmark::State& state) {
   db::StatementCache cache;

@@ -2,13 +2,13 @@
 
 #include <cassert>
 
-#include "db/sql_parser.h"
 #include "client/connection_pool.h"
 #include "common/result.h"
 #include "common/str_util.h"
 #include "common/time_types.h"
 #include "db/database.h"
 #include "db/sql_ast.h"
+#include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
@@ -184,23 +184,14 @@ void ReadWriteSplitProxy::ExecuteAuto(const std::string& sql,
                                       SimDuration cpu_cost,
                                       const ReadOptions& read_options,
                                       Callback done) {
-  bool is_read = false;
-  bool classified = false;
-  if (options_.route_cache) {
-    // Route from the cached template: after the first sighting of a
-    // statement shape, classification costs a fingerprint, not a parse.
-    auto call = route_cache_.Prepare(sql);
-    if (call.ok()) {
-      is_read = !db::IsWriteStatement(call->prepared->statement) &&
-                !db::IsTransactionControl(call->prepared->statement);
-      classified = true;
-    }
-  }
-  if (!classified) {
-    auto parsed = db::ParseSql(sql);
-    is_read = parsed.ok() && !db::IsWriteStatement(*parsed) &&
-              !db::IsTransactionControl(*parsed);
-  }
+  // With the route cache, classification after the first sighting of a
+  // statement shape costs a fingerprint, not a parse. Unparseable text is
+  // routed to the master, which reports the error.
+  auto call =
+      db::PrepareSql(sql, options_.route_cache ? &route_cache_ : nullptr);
+  bool is_read = call.ok() &&
+                 !db::IsWriteStatement(call->prepared->statement) &&
+                 !db::IsTransactionControl(call->prepared->statement);
   Execute(sql, is_read, cpu_cost, read_options, std::move(done));
 }
 

@@ -5,7 +5,6 @@
 
 #include "common/str_util.h"
 #include "db/expr_eval.h"
-#include "db/sql_parser.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "db/schema.h"
@@ -950,39 +949,19 @@ std::unique_ptr<Session> Database::CreateSession() {
 
 Result<ExecResult> Database::Execute(const std::string& sql,
                                      Session* session) {
-  if (options_.statement_cache) {
-    Result<PreparedCall> call = statement_cache_.Prepare(sql);
-    if (call.ok()) return ExecutePrepared(*call, sql, session);
-    // Any Prepare failure — uncacheable shape, template parse failure, even
-    // a tokenizer error — falls through to the parse-every-time path, which
-    // reproduces cache-off behavior (and error text) byte for byte.
-  }
-  CLOUDDB_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
-  return ExecuteParsed(stmt, sql, session);
+  CLOUDDB_ASSIGN_OR_RETURN(PreparedCall call, Prepare(sql));
+  return ExecutePrepared(call, sql, session);
 }
 
 Result<PreparedCall> Database::Prepare(const std::string& sql) {
-  return statement_cache_.Prepare(sql);
+  return PrepareSql(sql,
+                    options_.statement_cache ? &statement_cache_ : nullptr);
 }
 
 Result<ExecResult> Database::ExecutePrepared(const PreparedCall& call,
                                              const std::string& sql_text,
                                              Session* session) {
-  return ExecuteStatement(call.prepared->statement, &call.params, sql_text,
-                          session, call.prepared.get());
-}
-
-Result<ExecResult> Database::ExecuteParsed(const Statement& stmt,
-                                           const std::string& sql_text,
-                                           Session* session) {
-  return ExecuteStatement(stmt, nullptr, sql_text, session,
-                          /*prepared=*/nullptr);
-}
-
-Result<ExecResult> Database::ExecuteStatement(
-    const Statement& stmt, const std::vector<Value>* params,
-    const std::string& sql_text, Session* session,
-    const PreparedStatement* prepared) {
+  const Statement& stmt = call.prepared->statement;
   if (session == nullptr) session = autocommit_session_.get();
 
   // Transaction control.
@@ -1019,10 +998,9 @@ Result<ExecResult> Database::ExecuteStatement(
     return lock_status;
   }
 
+  const PreparedStatement& prepared = *call.prepared;
   const VecProgram* compiled_where =
-      prepared != nullptr && prepared->has_where_program
-          ? &prepared->where_program
-          : nullptr;
+      prepared.has_where_program ? &prepared.where_program : nullptr;
   // Row-based capture: only statements that will reach the binlog capture
   // row images, and only when the coverage rule admits them (no DDL, no
   // function calls — see StatementHasFunctionCall).
@@ -1030,8 +1008,8 @@ Result<ExecResult> Database::ExecuteStatement(
   bool row_capture = options_.row_based_repl && binlog_active && is_write &&
                      !IsDdl(stmt) && !StatementHasFunctionCall(stmt);
   std::vector<RowOp> captured_ops;
-  Executor executor(this, session, params, compiled_where,
-                    /*jit_predicates=*/prepared == nullptr,
+  Executor executor(this, session, &call.params, compiled_where,
+                    /*jit_predicates=*/prepared.one_off,
                     row_capture ? &captured_ops : nullptr);
   Result<ExecResult> result = executor.Run(stmt);
   if (!result.ok()) {

@@ -45,7 +45,7 @@ struct DatabaseOptions {
   /// (MySQL's default: no log-slave-updates).
   bool enable_binlog = true;
 
-  /// Whether Execute() goes through the statement cache (parse each distinct
+  /// Whether Prepare() goes through the statement cache (parse each distinct
   /// statement shape once; bind literals per call). Off = parse every time.
   /// Either way the results are identical — the cache is wall-clock-only.
   bool statement_cache = true;
@@ -97,26 +97,22 @@ class Database {
   /// Creates an independent session (connection context).
   std::unique_ptr<Session> CreateSession();
 
-  /// Parses and executes one statement on `session` (nullptr = the internal
-  /// autocommit session). On statement failure inside an explicit
+  /// Prepares and executes one statement on `session` (nullptr = the
+  /// internal autocommit session). On statement failure inside an explicit
   /// transaction the whole transaction is rolled back (no savepoints).
   Result<ExecResult> Execute(const std::string& sql, Session* session = nullptr);
 
-  /// Executes an already-parsed statement. `sql_text` is the statement text
-  /// recorded in the binlog if this is a write.
-  Result<ExecResult> ExecuteParsed(const Statement& stmt,
-                                   const std::string& sql_text,
-                                   Session* session);
-
-  /// Fingerprints `sql` against the statement cache, parsing (and caching)
-  /// the template on a miss. Callers that need the AST before executing —
-  /// cost estimation, routing — use this so the later Execute() of the same
-  /// text is a cache hit instead of a second parse. Fails (NotSupported) for
-  /// shapes the cache bypasses; see StatementCache::Prepare.
+  /// Turns `sql` into an executable call (PrepareSql): the statement cache's
+  /// template when the cache is on and the shape is cacheable, otherwise a
+  /// one-off wrap of the parsed AST. Callers that need the AST before
+  /// executing (cost estimation, routing, a queued execution) prepare once
+  /// and hand the call to ExecutePrepared. Fails with ParseSql's status.
   Result<PreparedCall> Prepare(const std::string& sql);
 
   /// Executes a prepared call (template + bound literals). `sql_text` is the
   /// original statement text, recorded in the binlog if this is a write.
+  /// Templates are re-bound against the live catalog on every execution, so
+  /// a call prepared before DDL runs as a fresh Execute would after it.
   Result<ExecResult> ExecutePrepared(const PreparedCall& call,
                                      const std::string& sql_text,
                                      Session* session);
@@ -193,16 +189,6 @@ class Database {
 
  private:
   friend class Executor;
-
-  /// Shared execution path: `params` is null for fully-literal ASTs and the
-  /// bound literal vector for cached templates. `prepared` (nullable) is the
-  /// cache entry backing this execution; it carries the WHERE predicate
-  /// pre-compiled to vectorized bytecode.
-  Result<ExecResult> ExecuteStatement(const Statement& stmt,
-                                      const std::vector<Value>* params,
-                                      const std::string& sql_text,
-                                      Session* session,
-                                      const PreparedStatement* prepared);
 
   /// Commits `session`: appends pending write statements to the binlog as a
   /// single event, releases locks, clears transaction state.

@@ -4,7 +4,9 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/str_util.h"
@@ -90,22 +92,19 @@ bool IsIdentStart(char c) {
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
 
-}  // namespace
-
-bool Token::IsKeyword(const char* kw) const {
-  return type == TokenType::kKeyword && text == kw;
-}
-
-bool Token::IsSymbol(const char* sym) const {
-  return type == TokenType::kSymbol && text == sym;
-}
-
-Result<std::vector<Token>> Tokenize(const std::string& sql) {
-  std::vector<Token> out;
-  // Tokens average a handful of bytes of source each; one upfront reservation
-  // avoids the O(log n) vector regrowths per statement.
-  out.reserve(sql.size() / 4 + 4);
+// The one SQL scanner. It walks `sql` once and reports every token to
+// `sink`, which decides what to build from it:
+//   Word(start, len, keyword)   identifier, or keyword when `keyword` (the
+//                               canonical uppercase spelling) is non-null
+//   Integer(start, len, value) / Double(start, len, value)
+//   String(start, value)        `value` with '' escapes resolved
+//   Symbol(start, len)          the spelling is the source slice
+// Every sink therefore sees the same token boundaries and the same lexical
+// errors, byte for byte.
+template <typename Sink>
+Status ScanSql(const std::string& sql, Sink& sink) {
   size_t i = 0;
   const size_t n = sql.size();
   while (i < n) {
@@ -114,64 +113,45 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       ++i;
       continue;
     }
-    size_t start = i;
+    const size_t start = i;
     if (IsIdentStart(c)) {
       size_t j = i;
       while (j < n && IsIdentChar(sql[j])) ++j;
-      const size_t len = j - i;
-      Token t;
-      t.offset = start;
-      const char* canonical = Keywords().Match(sql.data() + i, len);
-      if (canonical != nullptr) {
-        t.type = TokenType::kKeyword;
-        t.text.assign(canonical, len);
-      } else {
-        t.type = TokenType::kIdentifier;
-        t.text.assign(sql, i, len);
-      }
-      out.push_back(std::move(t));
+      sink.Word(start, j - i, Keywords().Match(sql.data() + i, j - i));
       i = j;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
+    if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(sql[i + 1]))) {
       size_t j = i;
       bool is_double = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
+      while (j < n && IsDigit(sql[j])) ++j;
       if (j < n && sql[j] == '.') {
         is_double = true;
         ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
+        while (j < n && IsDigit(sql[j])) ++j;
       }
       if (j < n && (sql[j] == 'e' || sql[j] == 'E')) {
         size_t k = j + 1;
         if (k < n && (sql[k] == '+' || sql[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(sql[k]))) {
+        if (k < n && IsDigit(sql[k])) {
           is_double = true;
           j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) {
-            ++j;
-          }
+          while (j < n && IsDigit(sql[j])) ++j;
         }
       }
-      std::string text = sql.substr(i, j - i);
-      Token t;
-      t.offset = start;
-      t.text = text;
+      // strtod/strtoll stop at exactly the character the scan above stopped
+      // at, so they parse in place from the source buffer.
       if (is_double) {
-        t.type = TokenType::kDouble;
-        t.double_value = std::strtod(text.c_str(), nullptr);
+        sink.Double(start, j - i, std::strtod(sql.c_str() + i, nullptr));
       } else {
-        t.type = TokenType::kInteger;
         errno = 0;
-        t.int_value = std::strtoll(text.c_str(), nullptr, 10);
+        int64_t v = std::strtoll(sql.c_str() + i, nullptr, 10);
         if (errno == ERANGE) {
           return Status::InvalidArgument(
               StrFormat("integer literal out of range at offset %zu", start));
         }
+        sink.Integer(start, j - i, v);
       }
-      out.push_back(std::move(t));
       i = j;
       continue;
     }
@@ -197,168 +177,159 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         return Status::InvalidArgument(
             StrFormat("unterminated string literal at offset %zu", start));
       }
-      Token t;
-      t.type = TokenType::kString;
-      t.text = std::move(value);
-      t.offset = start;
-      out.push_back(std::move(t));
+      sink.String(start, std::move(value));
       i = j;
       continue;
     }
-    // Multi-char symbols first.
-    auto symbol = [&](const char* sym) {
-      Token t;
-      t.type = TokenType::kSymbol;
-      t.text = sym;
-      t.offset = start;
-      out.push_back(std::move(t));
-    };
-    if (c == '<' && i + 1 < n && sql[i + 1] == '=') {
-      symbol("<=");
+    // Two-character symbols first.
+    const char next = i + 1 < n ? sql[i + 1] : '\0';
+    if ((c == '<' && (next == '=' || next == '>')) ||
+        ((c == '>' || c == '!') && next == '=')) {
+      sink.Symbol(start, 2);
       i += 2;
-    } else if (c == '>' && i + 1 < n && sql[i + 1] == '=') {
-      symbol(">=");
-      i += 2;
-    } else if (c == '<' && i + 1 < n && sql[i + 1] == '>') {
-      symbol("<>");
-      i += 2;
-    } else if (c == '!' && i + 1 < n && sql[i + 1] == '=') {
-      symbol("!=");
-      i += 2;
-    } else if (std::string("(),*=<>+-/.;").find(c) != std::string::npos) {
-      char buf[2] = {c, 0};
-      symbol(buf);
+    } else if (std::string_view("(),*=<>+-/.;").find(c) !=
+               std::string_view::npos) {
+      sink.Symbol(start, 1);
       ++i;
     } else {
       return Status::InvalidArgument(
           StrFormat("unexpected character '%c' at offset %zu", c, start));
     }
   }
-  Token end;
-  end.type = TokenType::kEnd;
-  end.offset = n;
-  out.push_back(std::move(end));
-  return out;
+  return Status::Ok();
+}
+
+// Builds the token vector. With `mask_literals`, every literal becomes a
+// kParameter token numbered in source order (the statement cache's template
+// input); otherwise literals keep their type and value.
+class TokenSink {
+ public:
+  TokenSink(const std::string& sql, bool mask_literals)
+      : sql_(sql), mask_literals_(mask_literals) {
+    // Tokens average a handful of bytes of source each; one upfront
+    // reservation avoids the O(log n) vector regrowths per statement.
+    tokens_.reserve(sql.size() / 4 + 4);
+  }
+
+  void Word(size_t start, size_t len, const char* keyword) {
+    Add(keyword != nullptr ? TokenType::kKeyword : TokenType::kIdentifier,
+        start)
+        .text.assign(keyword != nullptr ? keyword : sql_.data() + start, len);
+  }
+  void Integer(size_t start, size_t len, int64_t value) {
+    if (Masked(start)) return;
+    Token& t = Add(TokenType::kInteger, start);
+    t.text.assign(sql_, start, len);
+    t.int_value = value;
+  }
+  void Double(size_t start, size_t len, double value) {
+    if (Masked(start)) return;
+    Token& t = Add(TokenType::kDouble, start);
+    t.text.assign(sql_, start, len);
+    t.double_value = value;
+  }
+  void String(size_t start, std::string value) {
+    if (Masked(start)) return;
+    Add(TokenType::kString, start).text = std::move(value);
+  }
+  void Symbol(size_t start, size_t len) {
+    Add(TokenType::kSymbol, start).text.assign(sql_, start, len);
+  }
+
+  std::vector<Token> Finish() && {
+    Add(TokenType::kEnd, sql_.size());
+    return std::move(tokens_);
+  }
+
+ private:
+  Token& Add(TokenType type, size_t offset) {
+    Token& t = tokens_.emplace_back();
+    t.type = type;
+    t.offset = offset;
+    return t;
+  }
+  bool Masked(size_t start) {
+    if (!mask_literals_) return false;
+    Token& t = Add(TokenType::kParameter, start);
+    t.text = "?";
+    t.int_value = next_param_++;
+    return true;
+  }
+
+  const std::string& sql_;
+  const bool mask_literals_;
+  int64_t next_param_ = 0;
+  std::vector<Token> tokens_;
+};
+
+// Builds the statement cache's fingerprint and literal vector directly from
+// the scan: no token vector on the hit path.
+class FingerprintSink {
+ public:
+  FingerprintSink(const std::string& sql, std::vector<Value>* params)
+      : sql_(sql), params_(params) {
+    // Every source byte maps to at most one fingerprint byte plus the token
+    // separators; sql.size() + a small slack avoids regrowth.
+    fp_.reserve(sql.size() + 8);
+  }
+
+  void Word(size_t start, size_t len, const char* keyword) {
+    fp_.append(keyword != nullptr ? keyword : sql_.data() + start, len);
+    fp_ += ' ';
+  }
+  void Integer(size_t, size_t, int64_t value) { Param(value); }
+  void Double(size_t, size_t, double value) { Param(value); }
+  void String(size_t, std::string value) { Param(std::move(value)); }
+  void Symbol(size_t start, size_t len) {
+    fp_.append(sql_, start, len);
+    fp_ += ' ';
+  }
+
+  std::string Finish() && { return std::move(fp_); }
+
+ private:
+  // Builds the Value in place in `params_`.
+  template <typename T>
+  void Param(T value) {
+    params_->emplace_back(std::move(value));
+    fp_ += "? ";
+  }
+
+  const std::string& sql_;
+  std::vector<Value>* params_;
+  std::string fp_;
+};
+
+Result<std::vector<Token>> ScanTokens(const std::string& sql,
+                                      bool mask_literals) {
+  TokenSink sink(sql, mask_literals);
+  CLOUDDB_RETURN_IF_ERROR(ScanSql(sql, sink));
+  return std::move(sink).Finish();
+}
+
+}  // namespace
+
+bool Token::IsKeyword(const char* kw) const {
+  return type == TokenType::kKeyword && text == kw;
+}
+
+bool Token::IsSymbol(const char* sym) const {
+  return type == TokenType::kSymbol && text == sym;
+}
+
+Result<std::vector<Token>> Tokenize(const std::string& sql) {
+  return ScanTokens(sql, /*mask_literals=*/false);
+}
+
+Result<std::vector<Token>> TokenizeMasked(const std::string& sql) {
+  return ScanTokens(sql, /*mask_literals=*/true);
 }
 
 Result<std::string> FingerprintSql(const std::string& sql,
                                    std::vector<Value>* params) {
-  std::string fp;
-  // Every source byte maps to at most one fingerprint byte plus the token
-  // separators; sql.size() + a small slack avoids regrowth.
-  fp.reserve(sql.size() + 8);
-  size_t i = 0;
-  const size_t n = sql.size();
-  while (i < n) {
-    char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    size_t start = i;
-    if (IsIdentStart(c)) {
-      size_t j = i;
-      while (j < n && IsIdentChar(sql[j])) ++j;
-      const size_t len = j - i;
-      const char* canonical = Keywords().Match(sql.data() + i, len);
-      if (canonical != nullptr) {
-        fp.append(canonical, len);
-      } else {
-        fp.append(sql, i, len);
-      }
-      fp += ' ';
-      i = j;
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
-      size_t j = i;
-      bool is_double = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
-      if (j < n && sql[j] == '.') {
-        is_double = true;
-        ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
-      }
-      if (j < n && (sql[j] == 'e' || sql[j] == 'E')) {
-        size_t k = j + 1;
-        if (k < n && (sql[k] == '+' || sql[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(sql[k]))) {
-          is_double = true;
-          j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) {
-            ++j;
-          }
-        }
-      }
-      // strtod/strtoll stop at exactly the character the scan above stopped
-      // at, so parsing in place from the source buffer matches Tokenize's
-      // substr-then-parse byte for byte.
-      if (is_double) {
-        params->push_back(Value(std::strtod(sql.c_str() + i, nullptr)));
-      } else {
-        errno = 0;
-        int64_t v = std::strtoll(sql.c_str() + i, nullptr, 10);
-        if (errno == ERANGE) {
-          return Status::InvalidArgument(
-              StrFormat("integer literal out of range at offset %zu", start));
-        }
-        params->push_back(Value(v));
-      }
-      fp += "? ";
-      i = j;
-      continue;
-    }
-    if (c == '\'') {
-      std::string value;
-      size_t j = i + 1;
-      bool closed = false;
-      while (j < n) {
-        size_t quote = sql.find('\'', j);
-        if (quote == std::string::npos) break;  // unterminated
-        value.append(sql, j, quote - j);
-        if (quote + 1 < n && sql[quote + 1] == '\'') {  // '' escape
-          value += '\'';
-          j = quote + 2;
-          continue;
-        }
-        closed = true;
-        j = quote + 1;
-        break;
-      }
-      if (!closed) {
-        return Status::InvalidArgument(
-            StrFormat("unterminated string literal at offset %zu", start));
-      }
-      params->push_back(Value(std::move(value)));
-      fp += "? ";
-      i = j;
-      continue;
-    }
-    if (c == '<' && i + 1 < n && sql[i + 1] == '=') {
-      fp += "<= ";
-      i += 2;
-    } else if (c == '>' && i + 1 < n && sql[i + 1] == '=') {
-      fp += ">= ";
-      i += 2;
-    } else if (c == '<' && i + 1 < n && sql[i + 1] == '>') {
-      fp += "<> ";
-      i += 2;
-    } else if (c == '!' && i + 1 < n && sql[i + 1] == '=') {
-      fp += "!= ";
-      i += 2;
-    } else if (std::string_view("(),*=<>+-/.;").find(c) !=
-               std::string_view::npos) {
-      fp += c;
-      fp += ' ';
-      ++i;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("unexpected character '%c' at offset %zu", c, start));
-    }
-  }
-  return fp;
+  FingerprintSink sink(sql, params);
+  CLOUDDB_RETURN_IF_ERROR(ScanSql(sql, sink));
+  return std::move(sink).Finish();
 }
 
 }  // namespace clouddb::db

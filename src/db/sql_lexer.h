@@ -18,9 +18,8 @@ enum class TokenType {
   kDouble,      // floating-point literal
   kString,      // 'single quoted', '' escapes a quote
   kSymbol,      // ( ) , * = != <> < <= > >= + - / .
-  kParameter,   // `?` placeholder — never produced by Tokenize; synthesized
-                // by the statement cache when masking literals (int_value
-                // holds the parameter slot)
+  kParameter,   // `?` placeholder: a masked literal, produced only by
+                // TokenizeMasked (int_value holds the parameter slot)
   kEnd,         // end of input
 };
 
@@ -35,18 +34,23 @@ struct Token {
   bool IsSymbol(const char* sym) const;
 };
 
+// Tokenize, TokenizeMasked and FingerprintSql share one scanner (`ScanSql`
+// in sql_lexer.cc), so they agree on every token boundary and on every
+// lexical error, byte for byte.
+
 /// Tokenizes `sql`. Keywords are case-insensitive. Returns the token list
 /// terminated by a kEnd token, or an error pointing at the offending byte.
 Result<std::vector<Token>> Tokenize(const std::string& sql);
 
-/// Fused single-pass fingerprint scan: the statement cache's hit path.
-/// Produces exactly the fingerprint the cache would build by tokenizing and
-/// masking (every token uppercased-if-keyword and emitted with one trailing
-/// space; literals collapse to `?` with their values appended to `params` in
-/// token order) — but without materializing a token vector, so a cache hit
-/// costs one scan over the text. Lexical errors are byte-identical to
-/// Tokenize's. Equivalence with the token-based construction is enforced by
-/// tests (statement_cache_test).
+/// Tokenize with every literal replaced by a kParameter token whose
+/// int_value is its slot in source order and whose offset is the literal's:
+/// the statement cache parses this stream into a reusable template.
+Result<std::vector<Token>> TokenizeMasked(const std::string& sql);
+
+/// The statement cache's fingerprint of `sql`, built without a token vector:
+/// every token uppercased-if-keyword and emitted with one trailing space;
+/// literals collapse to `?` with their values appended to `params` in token
+/// order. Equals FingerprintTokens(Tokenize(sql)) (statement_cache.h).
 Result<std::string> FingerprintSql(const std::string& sql,
                                    std::vector<Value>* params);
 

@@ -1,5 +1,6 @@
 #include "db/statement_cache.h"
 
+#include <memory>
 #include <utility>
 #include <variant>
 
@@ -27,11 +28,6 @@ bool CacheableFingerprint(const std::string& fp) {
   };
   return starts_with("SELECT ") || starts_with("INSERT ") ||
          starts_with("UPDATE ") || starts_with("DELETE ");
-}
-
-bool IsLiteralToken(const Token& t) {
-  return t.type == TokenType::kInteger || t.type == TokenType::kDouble ||
-         t.type == TokenType::kString;
 }
 
 }  // namespace
@@ -65,45 +61,10 @@ std::string FingerprintTokens(const std::vector<Token>& tokens,
   return fp;
 }
 
-namespace {
-
-/// The token stream with each literal replaced by a kParameter token whose
-/// int_value is the parameter slot. Offsets are preserved so parse errors in
-/// the template (which are rare — the caller falls back on them) still point
-/// at the original source.
-std::vector<Token> MaskLiterals(const std::vector<Token>& tokens) {
-  std::vector<Token> masked;
-  masked.reserve(tokens.size());
-  int64_t next_param = 0;
-  for (const Token& t : tokens) {
-    if (IsLiteralToken(t)) {
-      Token p;
-      p.type = TokenType::kParameter;
-      p.text = "?";
-      p.int_value = next_param++;
-      p.offset = t.offset;
-      masked.push_back(std::move(p));
-    } else {
-      masked.push_back(t);
-    }
-  }
-  return masked;
-}
-
-}  // namespace
-
 StatementCache::StatementCache(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 Result<PreparedCall> StatementCache::Prepare(const std::string& sql) {
-  // Fastest path: the exact same text as the previous call (a client
-  // re-issuing a fixed statement). One string compare, no scan.
-  if (has_last_ && sql == last_sql_) {
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, last_it_);
-    return PreparedCall{last_it_->prepared, last_params_};
-  }
-
   // Hit path: one fused scan over the text — no token vector, no parse.
   std::vector<Value> params;
   CLOUDDB_ASSIGN_OR_RETURN(std::string fingerprint,
@@ -117,15 +78,14 @@ Result<PreparedCall> StatementCache::Prepare(const std::string& sql) {
   if (it != index_.end()) {
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second);  // touch: move to MRU
-    RememberLast(sql, params);
     return PreparedCall{it->second->prepared, std::move(params)};
   }
 
-  // Miss: tokenize for real and parse the literal-masked token stream into a
-  // reusable template. (The fingerprint scan above already validated the
-  // text lexically, so Tokenize cannot fail here.)
-  CLOUDDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Result<Statement> parsed = ParseTokens(MaskLiterals(tokens));
+  // Miss: parse the literal-masked token stream into a reusable template.
+  // (The fingerprint scan above already validated the text lexically, so
+  // TokenizeMasked cannot fail here.)
+  CLOUDDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, TokenizeMasked(sql));
+  Result<Statement> parsed = ParseTokens(tokens);
   if (!parsed.ok()) {
     // Malformed SQL (or a shape the masked grammar cannot express). Let the
     // caller re-parse the original text so the reported error is
@@ -161,22 +121,11 @@ Result<PreparedCall> StatementCache::Prepare(const std::string& sql) {
   lru_.push_front(Entry{fingerprint, std::move(prepared)});
   index_.emplace(std::move(fingerprint), lru_.begin());
   if (lru_.size() > capacity_) {
-    if (has_last_ && last_it_ == std::prev(lru_.end())) has_last_ = false;
     index_.erase(lru_.back().fingerprint);
     lru_.pop_back();
     ++stats_.evictions;
   }
-  RememberLast(sql, params);
   return PreparedCall{lru_.front().prepared, std::move(params)};
-}
-
-void StatementCache::RememberLast(const std::string& sql,
-                                  const std::vector<Value>& params) {
-  // Assignment reuses the buffers' capacity across calls.
-  last_sql_ = sql;
-  last_params_ = params;
-  last_it_ = lru_.begin();
-  has_last_ = true;
 }
 
 void StatementCache::Invalidate() {
@@ -186,7 +135,21 @@ void StatementCache::Invalidate() {
   }
   index_.clear();
   lru_.clear();
-  has_last_ = false;
+}
+
+Result<PreparedCall> PrepareSql(const std::string& sql,
+                                StatementCache* cache) {
+  if (cache != nullptr) {
+    Result<PreparedCall> call = cache->Prepare(sql);
+    if (call.ok()) return call;
+    // Uncacheable shape, a template that failed to parse, or a lexical
+    // error: the plain parse below reports exactly what ParseSql reports.
+  }
+  CLOUDDB_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
+  auto one_off = std::make_shared<PreparedStatement>();
+  one_off->statement = std::move(stmt);
+  one_off->one_off = true;
+  return PreparedCall{std::move(one_off), {}};
 }
 
 std::vector<std::string> StatementCache::FingerprintsByRecency() const {

@@ -22,8 +22,8 @@ namespace clouddb::db {
 /// with a single trailing space, so the fingerprint is whitespace-folded and
 /// unambiguous (no token contains a space). Literals of any type collapse to
 /// `?` — the literal's type travels with the bound value, not the shape.
-/// The cache's hot path uses the fused single-pass FingerprintSql scan
-/// (sql_lexer.h); tests assert the two constructions agree.
+/// The cache itself uses FingerprintSql (sql_lexer.h), which builds the same
+/// string without a token vector; this construction is the tests' reference.
 std::string FingerprintTokens(const std::vector<Token>& tokens,
                               std::vector<Value>* params);
 
@@ -42,7 +42,9 @@ struct StatementCacheStats {
 /// Expr::kParameter placeholder. Shared (not cloned) across executions;
 /// immutable after insertion. Held by shared_ptr so an execution queued
 /// behind the CPU scheduler survives eviction or DDL invalidation of its
-/// cache entry.
+/// cache entry. PrepareSql also wraps a plain ParseSql AST (literals in
+/// place, no parameters) in one, flagged `one_off`, for statements that do
+/// not go through a cache.
 struct PreparedStatement {
   std::string fingerprint;
   Statement statement;
@@ -55,6 +57,9 @@ struct PreparedStatement {
   /// which is what keeps a holder that outlives DDL invalidation safe.
   VecProgram where_program;
   bool has_where_program = false;
+  /// A one-off wrap, never inserted into a cache: its WHERE is compiled on
+  /// the fly at each execution instead (Database's jit_predicates).
+  bool one_off = false;
 };
 
 /// One executable call: a template plus the literal values extracted from a
@@ -85,12 +90,12 @@ class StatementCache {
   StatementCache(const StatementCache&) = delete;
   StatementCache& operator=(const StatementCache&) = delete;
 
-  /// Tokenizes `sql`, computes its fingerprint, and returns the cached
-  /// template plus this text's literal values. On a miss the literal-masked
-  /// token stream is parsed and inserted first.
+  /// Fingerprints `sql` and returns the cached template plus this text's
+  /// literal values. On a miss the literal-masked token stream is parsed and
+  /// inserted first. Repeated text is simply a hit on its entry.
   ///
-  /// Failure modes callers must handle by falling back to plain ParseSql
-  /// (which reproduces byte-identical errors and behavior):
+  /// Failure modes, which PrepareSql handles by falling back to plain
+  /// ParseSql (byte-identical errors and behavior):
   ///  - NotSupported: statement shape is not cacheable (DDL, BEGIN/COMMIT/
   ///    ROLLBACK, empty input) or the template failed to parse.
   ///  - any tokenizer error, returned verbatim.
@@ -110,8 +115,6 @@ class StatementCache {
   static constexpr size_t kDefaultCapacity = 256;
 
  private:
-  void RememberLast(const std::string& sql, const std::vector<Value>& params);
-
   struct Entry {
     std::string fingerprint;
     std::shared_ptr<const PreparedStatement> prepared;
@@ -122,15 +125,15 @@ class StatementCache {
   std::list<Entry> lru_;
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   StatementCacheStats stats_;
-  // Identical-text memo: when `sql` is byte-equal to the previous successful
-  // Prepare, the fingerprint scan is skipped entirely and the remembered
-  // entry and literal values are reused. Counts as a hit and touches the LRU
-  // exactly like the scan path, so observable cache state is unchanged.
-  bool has_last_ = false;
-  std::string last_sql_;
-  std::vector<Value> last_params_;
-  std::list<Entry>::iterator last_it_;
 };
+
+/// The one step from SQL text to an executable call, shared by Database and
+/// the proxy's read/write classifier. With a cache (non-null), a cacheable
+/// shape gets the cached template and this text's literal values. Every
+/// other case (no cache, DDL, transaction control, a template that fails to
+/// parse) gets a one-off wrap of the plain ParseSql AST with no params. On
+/// failure returns exactly ParseSql's status.
+Result<PreparedCall> PrepareSql(const std::string& sql, StatementCache* cache);
 
 }  // namespace clouddb::db
 

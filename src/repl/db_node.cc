@@ -1,12 +1,10 @@
 #include "repl/db_node.h"
 
-#include "db/sql_parser.h"
 #include "cloud/instance.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/time_types.h"
 #include "db/database.h"
-#include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/cost_model.h"
@@ -95,71 +93,40 @@ void DbNode::Submit(const std::string& sql, SimDuration cpu_cost,
     });
     return;
   }
+  // One prepare per statement: it feeds the cost estimate (when the caller
+  // gave none) and the execution the CPU job runs. A prepare error is
+  // answered when the CPU reaches the job, like any execution error.
+  Result<db::PreparedCall> call = database_->Prepare(sql);
   if (cpu_cost < 0) {
     // Parsing for cost estimation is not charged: real servers spend a
-    // negligible fraction of statement time in the parser. Estimating
-    // through Prepare() warms the statement cache, so the Execute() this
-    // submit leads to reuses the same parse instead of a second one.
-    cpu_cost = SimDuration{0};
-    if (database_->statement_cache_enabled()) {
-      auto call = database_->Prepare(sql);
-      if (call.ok()) {
-        cpu_cost = cost_model_.EstimateStatement(call->prepared->statement);
-      } else {
-        auto parsed = db::ParseSql(sql);
-        if (parsed.ok()) cpu_cost = cost_model_.EstimateStatement(*parsed);
-      }
-    } else {
-      auto parsed = db::ParseSql(sql);
-      if (parsed.ok()) cpu_cost = cost_model_.EstimateStatement(*parsed);
-    }
+    // negligible fraction of statement time in the parser.
+    cpu_cost = call.ok()
+                   ? cost_model_.EstimateStatement(call->prepared->statement)
+                   : SimDuration{0};
   }
-  instance_->cpu().Submit(cpu_cost, [this, sql, done = std::move(done)]() mutable {
-    ExecuteAndRespond(sql, std::move(done));
+  instance_->cpu().Submit(cpu_cost, [this, sql, call = std::move(call),
+                                     done = std::move(done)]() mutable {
+    ExecuteAndRespond(call, sql, std::move(done));
   });
 }
 
 Result<db::ExecResult> DbNode::ExecuteDirect(const std::string& sql) {
-  return ExecuteNow(sql);
-}
-
-Result<db::ExecResult> DbNode::ExecuteNow(const std::string& sql) {
+  // An offline node refuses without touching its statement cache.
   if (!online_ || database_ == nullptr) {
-    ++queries_failed_;
-    return Status::Unavailable("database node is offline");
+    return ExecuteNow(Status::Unavailable("database node is offline"), sql);
   }
-  Result<db::ExecResult> result = database_->Execute(sql);
-  if (result.ok()) {
-    ++queries_completed_;
-  } else {
-    ++queries_failed_;
-  }
-  return result;
+  return ExecuteNow(database_->Prepare(sql), sql);
 }
 
-Result<db::ExecResult> DbNode::ExecutePreparedNow(const db::PreparedCall& call,
-                                                  const std::string& sql) {
+Result<db::ExecResult> DbNode::ExecuteNow(
+    const Result<db::PreparedCall>& call, const std::string& sql) {
   if (!online_ || database_ == nullptr) {
     ++queries_failed_;
     return Status::Unavailable("database node is offline");
   }
   Result<db::ExecResult> result =
-      database_->ExecutePrepared(call, sql, nullptr);
-  if (result.ok()) {
-    ++queries_completed_;
-  } else {
-    ++queries_failed_;
-  }
-  return result;
-}
-
-Result<db::ExecResult> DbNode::ExecuteParsedNow(const db::Statement& stmt,
-                                                const std::string& sql) {
-  if (!online_ || database_ == nullptr) {
-    ++queries_failed_;
-    return Status::Unavailable("database node is offline");
-  }
-  Result<db::ExecResult> result = database_->ExecuteParsed(stmt, sql, nullptr);
+      call.ok() ? database_->ExecutePrepared(*call, sql, nullptr)
+                : Result<db::ExecResult>(call.status());
   if (result.ok()) {
     ++queries_completed_;
   } else {

@@ -14,7 +14,6 @@
 #include "repl/cost_model.h"
 #include "sim/simulation.h"
 #include "common/time_types.h"
-#include "db/sql_ast.h"
 #include "db/statement_cache.h"
 
 namespace clouddb::repl {
@@ -90,24 +89,18 @@ class DbNode {
   sim::Simulation* sim() { return sim_; }
   net::Network* network() { return network_; }
 
-  /// Parses and executes on the autocommit session; updates counters.
-  Result<db::ExecResult> ExecuteNow(const std::string& sql);
+  /// Executes a prepared call on the autocommit session, or answers its
+  /// prepare error; updates counters. `sql` is the original text for the
+  /// binlog. An offline node refuses with Unavailable.
+  Result<db::ExecResult> ExecuteNow(const Result<db::PreparedCall>& call,
+                                    const std::string& sql);
 
-  /// Executes an already-prepared call (statement-cache template + bound
-  /// literals); updates counters. `sql` is the original text for the binlog.
-  Result<db::ExecResult> ExecutePreparedNow(const db::PreparedCall& call,
-                                            const std::string& sql);
-
-  /// Executes an already-parsed statement; updates counters. Used where the
-  /// AST was needed anyway (cost estimation) so the text is parsed once.
-  Result<db::ExecResult> ExecuteParsedNow(const db::Statement& stmt,
-                                          const std::string& sql);
-
-  /// Runs once the CPU reaches the query: executes and delivers the result.
-  /// MasterNode overrides this to defer the response in synchronous
-  /// replication mode.
-  virtual void ExecuteAndRespond(const std::string& sql, QueryCallback done) {
-    done(ExecuteNow(sql));
+  /// Runs once the CPU reaches the query: executes the call Submit prepared
+  /// and delivers the result. MasterNode overrides this to defer the
+  /// response in synchronous replication mode.
+  virtual void ExecuteAndRespond(const Result<db::PreparedCall>& call,
+                                 const std::string& sql, QueryCallback done) {
+    done(ExecuteNow(call, sql));
   }
 
   /// Fires on every Crash()/Restart() of the hosting instance (registered

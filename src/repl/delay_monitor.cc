@@ -16,18 +16,17 @@ std::map<int64_t, int64_t> ReadHeartbeats(db::Database& database,
   Result<db::ExecResult> rows =
       database.Execute("SELECT hb_id, ts FROM " + table);
   if (!rows.ok()) return out;
-  int id_col = -1;
-  int ts_col = -1;
-  for (size_t i = 0; i < rows->column_names.size(); ++i) {
-    // NOLINTNEXTLINE(clouddb-narrowing): column index over a result-set width, far below 2^31
-    if (rows->column_names[i] == "hb_id") id_col = static_cast<int>(i);
-    // NOLINTNEXTLINE(clouddb-narrowing): column index over a result-set width, far below 2^31
-    if (rows->column_names[i] == "ts") ts_col = static_cast<int>(i);
+  const size_t width = rows->column_names.size();
+  size_t id_col = width;
+  size_t ts_col = width;
+  for (size_t i = 0; i < width; ++i) {
+    if (rows->column_names[i] == "hb_id") id_col = i;
+    if (rows->column_names[i] == "ts") ts_col = i;
   }
-  if (id_col < 0 || ts_col < 0) return out;
+  if (id_col == width || ts_col == width) return out;
   for (const db::Row& row : rows->rows) {
-    const db::Value& id = row[static_cast<size_t>(id_col)];
-    const db::Value& ts = row[static_cast<size_t>(ts_col)];
+    const db::Value& id = row[id_col];
+    const db::Value& ts = row[ts_col];
     if (!id.is_null() && !ts.is_null()) {
       out[id.AsInt64()] = ts.AsInt64();
     }

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "db/binlog.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/cost_model.h"
 #include "sim/simulation.h"
@@ -89,10 +90,11 @@ void MasterNode::DetachSlave(SlaveNode* slave) {
   }
 }
 
-void MasterNode::ExecuteAndRespond(const std::string& sql,
+void MasterNode::ExecuteAndRespond(const Result<db::PreparedCall>& call,
+                                   const std::string& sql,
                                    QueryCallback done) {
   int64_t before = database_->binlog().size();
-  Result<db::ExecResult> result = ExecuteNow(sql);
+  Result<db::ExecResult> result = ExecuteNow(call, sql);
   int64_t after = database_->binlog().size();
   // Asynchronous replication (the default): respond as soon as the master
   // commits. Synchronous: hold the response until all slaves ack the event.
@@ -100,9 +102,7 @@ void MasterNode::ExecuteAndRespond(const std::string& sql,
     done(std::move(result));
     return;
   }
-  sync_waiters_.push_back(SyncWaiter{after - 1,
-                                     // NOLINTNEXTLINE(clouddb-narrowing): cluster size is operator-configured and tiny
-                                     static_cast<int>(slaves_.size()),
+  sync_waiters_.push_back(SyncWaiter{after - 1, slaves_.size(),
                                      std::move(done), std::move(result)});
 }
 
@@ -166,8 +166,8 @@ void MasterNode::OnBinlogAppend(const db::BinlogEvent& event) {
     return;
   }
   pending_batch_.push_back(event);
-  // NOLINTNEXTLINE(clouddb-narrowing): pending batch is flushed at ship_.batch_size, far below 2^31
-  if (static_cast<int>(pending_batch_.size()) >= ship_.batch_size) {
+  // batch_size > 1 here, so the cast is exact.
+  if (pending_batch_.size() >= static_cast<size_t>(ship_.batch_size)) {
     FlushBatch();
   } else if (pending_batch_.size() == 1) {
     flush_timer_.ArmAfter(ship_.flush_interval);

@@ -12,6 +12,7 @@
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "metrics/metric_registry.h"
 #include "net/network.h"
 #include "repl/cost_model.h"
@@ -96,14 +97,15 @@ class MasterNode : public DbNode {
 
  protected:
   // DbNode:
-  void ExecuteAndRespond(const std::string& sql, QueryCallback done) override;
+  void ExecuteAndRespond(const Result<db::PreparedCall>& call,
+                         const std::string& sql, QueryCallback done) override;
 
  private:
   void RegisterMasterMetrics();
 
   struct SyncWaiter {
     int64_t index;
-    int remaining;
+    size_t remaining;
     QueryCallback done;
     Result<db::ExecResult> result;
   };

@@ -1,13 +1,11 @@
 #include "repl/replication_cluster.h"
 
 #include "common/str_util.h"
-#include "db/sql_parser.h"
 #include "cloud/cloud_provider.h"
 #include "cloud/instance.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "db/database.h"
-#include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "db/table.h"
 #include "net/network.h"
@@ -115,35 +113,20 @@ Status ReplicationCluster::ExecuteEverywhereDirect(const std::string& sql) {
 
 Status ReplicationCluster::ExecuteDirect(
     const std::string& sql, const std::vector<SlaveNode*>& slaves) {
-  // Parse once, execute on every listed replica. With the statement cache
-  // on, repeated load shapes (the common case: one INSERT form per table)
-  // parse once across the *whole* load, not once per statement — the
-  // master's prepared template runs on every replica. The master's binlog
-  // is suppressed: this is a pre-load, not a write to replicate.
+  // Prepare once on the master, execute on every listed replica. With the
+  // statement cache on, repeated load shapes (the common case: one INSERT
+  // form per table) parse once across the *whole* load, not once per
+  // statement: the master's template runs on every replica. The master's
+  // binlog is suppressed: this is a pre-load, not a write to replicate.
   db::Database& master = master_->database();
-  if (master.statement_cache_enabled()) {
-    Result<db::PreparedCall> call = master.Prepare(sql);
-    if (call.ok()) {
-      master.set_binlog_suppressed(true);
-      auto result = master.ExecutePrepared(*call, sql, nullptr);
-      master.set_binlog_suppressed(false);
-      if (!result.ok()) return result.status();
-      for (SlaveNode* slave : slaves) {
-        auto slave_result =
-            slave->database().ExecutePrepared(*call, sql, nullptr);
-        if (!slave_result.ok()) return slave_result.status();
-      }
-      return Status::Ok();
-    }
-  }
-  CLOUDDB_ASSIGN_OR_RETURN(db::Statement stmt, db::ParseSql(sql));
+  CLOUDDB_ASSIGN_OR_RETURN(db::PreparedCall call, master.Prepare(sql));
   master.set_binlog_suppressed(true);
-  auto result = master.ExecuteParsed(stmt, sql, nullptr);
+  auto result = master.ExecutePrepared(call, sql, nullptr);
   master.set_binlog_suppressed(false);
   if (!result.ok()) return result.status();
   for (SlaveNode* slave : slaves) {
-    auto slave_result = slave->database().ExecuteParsed(stmt, sql, nullptr);
-    if (!slave_result.ok()) return slave_result.status();
+    CLOUDDB_RETURN_IF_ERROR(
+        slave->database().ExecutePrepared(call, sql, nullptr).status());
   }
   return Status::Ok();
 }

@@ -6,10 +6,10 @@
 #include <optional>
 #include <vector>
 
-#include "db/sql_parser.h"
 #include "repl/master_node.h"
 #include "cloud/instance.h"
 #include "common/result.h"
+#include "common/status.h"
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
@@ -90,42 +90,28 @@ void SlaveNode::MaybeStartApply() {
   db::BinlogEvent event = std::move(relay_log_.front());
   relay_log_.pop_front();
 
-  // Parse each statement once: the same prepared call (or, for uncacheable
-  // shapes like replicated DDL, the same AST) feeds both the cost model and
-  // the apply below. Covered writesets skip the lexer/parser entirely —
-  // both here (cost) and in the apply (row images straight into the table).
-  struct PreparedApply {
-    bool direct = false;  // covered writeset: apply row images, no parsing
-    std::optional<db::PreparedCall> call;
-    std::optional<db::Statement> ast;
-  };
-  // shared_ptr because the CPU job is a std::function (copyable) while the
-  // prepared ASTs are move-only.
-  auto prepared =
-      std::make_shared<std::vector<PreparedApply>>(event.statements.size());
+  // Prepare each statement once: the same call feeds both the cost model
+  // and the apply below. Covered writesets skip the lexer/parser entirely,
+  // both here (cost) and in the apply (row images straight into the table);
+  // their slot stays empty.
+  std::vector<std::optional<Result<db::PreparedCall>>> prepared;
+  prepared.reserve(event.statements.size());
   SimDuration cost = 0;
   for (size_t i = 0; i < event.statements.size(); ++i) {
     if (event.has_writesets() && event.writesets[i].covered) {
       cost += cost_model_.EstimateWritesetApply(event.writesets[i]);
-      (*prepared)[i].direct = true;
+      prepared.emplace_back();
       continue;
     }
-    const std::string& sql = event.statements[i];
-    if (database_ != nullptr && database_->statement_cache_enabled()) {
-      auto call = database_->Prepare(sql);
-      if (call.ok()) {
-        cost += cost_model_.EstimateApply(call->prepared->statement);
-        (*prepared)[i].call = std::move(*call);
-        continue;
-      }
-    }
-    auto parsed = db::ParseSql(sql);
-    if (parsed.ok()) {
-      cost += cost_model_.EstimateApply(*parsed);
-      (*prepared)[i].ast = std::move(*parsed);
-    }
-    // Unparseable statements contribute no cost; the apply below re-parses,
-    // fails identically, and stops the SQL thread.
+    Result<db::PreparedCall> call =
+        database_ != nullptr
+            ? database_->Prepare(event.statements[i])
+            : Result<db::PreparedCall>(
+                  Status::Unavailable("database node is offline"));
+    // An unpreparable statement contributes no cost; the apply below
+    // answers its error and stops the SQL thread.
+    if (call.ok()) cost += cost_model_.EstimateApply(call->prepared->statement);
+    prepared.emplace_back(std::move(call));
   }
 
   int64_t epoch = apply_epoch_;
@@ -134,9 +120,8 @@ void SlaveNode::MaybeStartApply() {
     if (epoch != apply_epoch_) return;  // rebased while this job was queued
     // Apply the event atomically (it was one transaction on the master).
     for (size_t i = 0; i < event.statements.size(); ++i) {
-      const std::string& sql = event.statements[i];
-      PreparedApply& prep = (*prepared)[i];
-      if (prep.direct) {
+      const std::optional<Result<db::PreparedCall>>& call = prepared[i];
+      if (!call.has_value()) {
         auto session = database_->CreateSession();
         Result<int64_t> rows = db::ApplyStatementWriteset(
             database_.get(), session.get(), event.writesets[i]);
@@ -149,11 +134,7 @@ void SlaveNode::MaybeStartApply() {
         continue;
       }
       if (event.has_writesets()) ++fallback_applies_;
-      Result<db::ExecResult> result =
-          prep.call.has_value()
-              ? ExecutePreparedNow(*prep.call, sql)
-              : (prep.ast.has_value() ? ExecuteParsedNow(*prep.ast, sql)
-                                      : ExecuteNow(sql));
+      Result<db::ExecResult> result = ExecuteNow(*call, event.statements[i]);
       if (!result.ok()) {
         // MySQL stops the SQL thread on an apply error; replication on this
         // slave halts until an operator intervenes.

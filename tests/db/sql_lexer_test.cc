@@ -1,5 +1,8 @@
 #include "db/sql_lexer.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace clouddb::db {
@@ -107,6 +110,35 @@ TEST(LexerTest, FullStatementTokenStream) {
   EXPECT_EQ(tokens[2].text, "heartbeat");
   EXPECT_EQ(tokens[12].text, "NOW_MICROS");
   EXPECT_EQ(tokens[12].type, TokenType::kIdentifier);
+}
+
+// TokenizeMasked is Tokenize with each literal turned into a numbered `?`
+// parameter at the literal's offset; every other token is unchanged.
+TEST(LexerTest, MaskedTokensNumberLiteralsInSourceOrder) {
+  const std::string sql = "SELECT a FROM t WHERE b = 'x''y' AND c < 2.5 "
+                          "LIMIT 10";
+  auto masked = TokenizeMasked(sql);
+  ASSERT_TRUE(masked.ok()) << masked.status().ToString();
+  std::vector<Token> plain = MustTokenize(sql);
+  ASSERT_EQ(masked->size(), plain.size());
+  int64_t next_param = 0;
+  for (size_t i = 0; i < plain.size(); ++i) {
+    const Token& m = (*masked)[i];
+    const Token& p = plain[i];
+    EXPECT_EQ(m.offset, p.offset) << i;
+    if (p.type == TokenType::kInteger || p.type == TokenType::kDouble ||
+        p.type == TokenType::kString) {
+      EXPECT_EQ(m.type, TokenType::kParameter) << i;
+      EXPECT_EQ(m.text, "?") << i;
+      EXPECT_EQ(m.int_value, next_param++) << i;
+    } else {
+      EXPECT_EQ(m.type, p.type) << i;
+      EXPECT_EQ(m.text, p.text) << i;
+    }
+  }
+  EXPECT_EQ(next_param, 3);
+  EXPECT_EQ(TokenizeMasked("SELECT 'open").status().ToString(),
+            Tokenize("SELECT 'open").status().ToString());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "db/statement_cache.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "common/str_util.h"
 #include "db/database.h"
 #include "db/sql_lexer.h"
+#include "db/sql_parser.h"
 #include "repl/replication_cluster.h"
 #include "sim/simulation.h"
 #include "common/status.h"
@@ -117,6 +119,54 @@ TEST(Fingerprint, DdlAndTransactionControlBypass) {
 }
 
 // ---------------------------------------------------------------------------
+// PrepareSql: the one text-to-call step
+
+TEST(PrepareSql, CacheableShapeUsesTheCachedTemplate) {
+  StatementCache cache;
+  auto a = PrepareSql("SELECT a FROM t WHERE x = 1", &cache);
+  auto b = PrepareSql("SELECT a FROM t WHERE x = 2", &cache);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->prepared.get(), b->prepared.get());
+  EXPECT_FALSE(a->prepared->one_off);
+  EXPECT_EQ(b->params, (std::vector<Value>{Value(int64_t{2})}));
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 1);
+}
+
+TEST(PrepareSql, EveryOtherCaseWrapsAOneOffParse) {
+  StatementCache cache;
+  // No cache, and shapes the cache bypasses: the plain AST, literals in
+  // place, no params.
+  for (auto [sql, with_cache] :
+       {std::pair{"SELECT a FROM t WHERE x = 1", false},
+        std::pair{"CREATE TABLE t (a INT PRIMARY KEY)", true},
+        std::pair{"BEGIN", true}}) {
+    auto call = PrepareSql(sql, with_cache ? &cache : nullptr);
+    ASSERT_TRUE(call.ok()) << sql;
+    EXPECT_TRUE(call->prepared->one_off) << sql;
+    EXPECT_TRUE(call->params.empty()) << sql;
+    EXPECT_FALSE(call->prepared->has_where_program) << sql;
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().bypasses, 2);
+}
+
+TEST(PrepareSql, FailsWithExactlyParseSqlsStatus) {
+  StatementCache cache;
+  for (const char* sql : {"SELECT 'unterminated", "SELECT @ FROM t",
+                          "SELECT FROM WHERE", "INSERT INTO t VALUES (",
+                          "SELECT 99999999999999999999 FROM t", ""}) {
+    for (StatementCache* c : {&cache, static_cast<StatementCache*>(nullptr)}) {
+      auto call = PrepareSql(sql, c);
+      ASSERT_FALSE(call.ok()) << sql;
+      EXPECT_EQ(call.status().ToString(), ParseSql(sql).status().ToString())
+          << sql;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // LRU behavior
 
 TEST(StatementCacheLru, RecencyAndEvictionAreDeterministic) {
@@ -136,24 +186,26 @@ TEST(StatementCacheLru, RecencyAndEvictionAreDeterministic) {
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
-TEST(StatementCacheLru, IdenticalTextMemoCountsAsHitAndTouches) {
+// Repeated text is an ordinary scan hit on its entry: counted as a hit and
+// moved to the MRU position, back to back or after other statements.
+TEST(StatementCacheLru, RepeatedTextCountsAsHitAndTouches) {
   StatementCache cache;
   (void)cache.Prepare("SELECT a FROM t WHERE x = 1");
   (void)cache.Prepare("SELECT b FROM t");
-  // Same text as the last call: served from the memo.
-  auto memo = cache.Prepare("SELECT b FROM t");
-  ASSERT_TRUE(memo.ok());
+  // Same text as the last call.
+  auto again = cache.Prepare("SELECT b FROM t");
+  ASSERT_TRUE(again.ok());
   EXPECT_EQ(cache.stats().hits, 1);
-  // And the same text after an intervening statement: the scan-hit path.
+  // And the same text after an intervening statement.
   (void)cache.Prepare("SELECT a FROM t WHERE x = 2");
-  auto scan = cache.Prepare("SELECT b FROM t");
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->prepared.get(), memo->prepared.get());
-  EXPECT_EQ(cache.stats().hits, 3);  // memo, the x=2 hit, the scan hit
+  auto later = cache.Prepare("SELECT b FROM t");
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->prepared.get(), again->prepared.get());
+  EXPECT_EQ(cache.stats().hits, 3);  // again, the x=2 hit, later
   EXPECT_EQ(cache.FingerprintsByRecency().front(), "SELECT b FROM t ");
 }
 
-TEST(StatementCacheLru, InvalidateDropsEverythingIncludingMemo) {
+TEST(StatementCacheLru, InvalidateDropsEveryEntry) {
   StatementCache cache;
   (void)cache.Prepare("SELECT a FROM t WHERE x = 1");
   (void)cache.Prepare("SELECT a FROM t WHERE x = 1");
@@ -163,7 +215,7 @@ TEST(StatementCacheLru, InvalidateDropsEverythingIncludingMemo) {
   EXPECT_EQ(cache.stats().invalidations, 1);
   auto call = cache.Prepare("SELECT a FROM t WHERE x = 1");
   ASSERT_TRUE(call.ok());
-  EXPECT_EQ(cache.stats().misses, 2);  // re-parsed, not served from the memo
+  EXPECT_EQ(cache.stats().misses, 2);  // re-parsed after the invalidation
 }
 
 // An execution holding a PreparedCall must survive eviction of its entry.

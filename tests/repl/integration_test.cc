@@ -9,7 +9,11 @@
 #include "cloud/cloud_provider.h"
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "db/database.h"
+#include "db/sql_lexer.h"
 #include "db/sql_parser.h"
+#include "db/statement_cache.h"
+#include "db/value.h"
 #include "repl/replication_cluster.h"
 #include "common/time_types.h"
 #include "sim/simulation.h"
@@ -180,6 +184,43 @@ TEST(ReplicationReplayTest, DifferentSeedsDiverge) {
 
 // ---- Parser robustness fuzz ------------------------------------------------
 
+/// Every SQL front end agrees on `sql`. Tokenize and FingerprintSql share one
+/// scanner, so they agree on ok-ness and on every lexical error's text, and
+/// the fingerprint equals the token-stream reference construction.
+/// Database::Prepare, with the statement cache on and off, reports exactly
+/// what ParseSql reports.
+void ExpectFrontEndsAgree(const std::string& sql, db::Database* cached,
+                          db::Database* uncached) {
+  auto tokens = db::Tokenize(sql);
+  std::vector<db::Value> scan_params;
+  auto fingerprint = db::FingerprintSql(sql, &scan_params);
+  auto parsed = db::ParseSql(sql);
+  ASSERT_EQ(tokens.ok(), fingerprint.ok()) << sql;
+  for (db::Database* database : {cached, uncached}) {
+    auto call = database->Prepare(sql);
+    ASSERT_EQ(call.ok(), parsed.ok()) << sql;
+    if (!call.ok()) {
+      EXPECT_EQ(call.status().ToString(), parsed.status().ToString()) << sql;
+    }
+  }
+  if (!tokens.ok()) {
+    EXPECT_EQ(fingerprint.status().ToString(), tokens.status().ToString())
+        << sql;
+    EXPECT_EQ(parsed.status().ToString(), tokens.status().ToString()) << sql;
+    return;
+  }
+  std::vector<db::Value> token_params;
+  EXPECT_EQ(*fingerprint, db::FingerprintTokens(*tokens, &token_params))
+      << sql;
+  EXPECT_EQ(scan_params, token_params) << sql;
+}
+
+db::DatabaseOptions CacheOff() {
+  db::DatabaseOptions options;
+  options.statement_cache = false;
+  return options;
+}
+
 TEST(ParserFuzzTest, RandomTokenSoupNeverCrashes) {
   const char* kFragments[] = {
       "SELECT", "INSERT", "UPDATE", "DELETE", "FROM",  "WHERE", "AND",
@@ -188,7 +229,13 @@ TEST(ParserFuzzTest, RandomTokenSoupNeverCrashes) {
       ",",      "*",      "=",      "<",      ">=",    "+",     "-",
       "'str'",  "42",     "3.14",   "tbl",    "col",   ";",     "COUNT",
       "MIN(",   "BEGIN",  "COMMIT", "PRIMARY", "KEY",  "TABLE", "CREATE",
+      // Lexical edge shapes: exponents, leading-dot doubles, '' escapes,
+      // two-character symbols, out-of-range integers, unterminated strings.
+      "1.5e+3", ".5",     "2e",     "'it''s'", "''",   "<>",    "!=",
+      "<=",     "99999999999999999999", "'open", "@",   "_id",   "MaxV",
   };
+  db::Database cached;
+  db::Database uncached(CacheOff());
   Rng rng(555);
   int parsed_ok = 0;
   for (int trial = 0; trial < 20000; ++trial) {
@@ -201,12 +248,15 @@ TEST(ParserFuzzTest, RandomTokenSoupNeverCrashes) {
     }
     auto result = db::ParseSql(sql);  // must never crash or hang
     if (result.ok()) ++parsed_ok;
+    ExpectFrontEndsAgree(sql, &cached, &uncached);
   }
   // Some soup accidentally forms valid SQL; most does not.
   EXPECT_LT(parsed_ok, 2000);
 }
 
 TEST(ParserFuzzTest, RandomBytesNeverCrash) {
+  db::Database cached;
+  db::Database uncached(CacheOff());
   Rng rng(777);
   for (int trial = 0; trial < 5000; ++trial) {
     std::string sql;
@@ -215,8 +265,8 @@ TEST(ParserFuzzTest, RandomBytesNeverCrash) {
       sql += static_cast<char>(rng.UniformInt(1, 127));
     }
     (void)db::ParseSql(sql);
+    ExpectFrontEndsAgree(sql, &cached, &uncached);
   }
-  SUCCEED();
 }
 
 }  // namespace

@@ -1,3 +1,7 @@
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cloud/cloud_provider.h"
@@ -9,9 +13,12 @@
 #include "repl/replication_cluster.h"
 #include "repl/slave_node.h"
 #include "common/result.h"
+#include "common/status.h"
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
+#include "db/sql_parser.h"
+#include "db/statement_cache.h"
 #include "repl/cost_model.h"
 #include "sim/simulation.h"
 
@@ -284,6 +291,125 @@ TEST_F(ReplicationTest, TransactionAppliesAtomicallyOnSlave) {
   // One binlog event carried both statements.
   const db::Binlog& binlog = cluster->master()->database().binlog();
   EXPECT_EQ(binlog.At(binlog.size() - 1).statements.size(), 2u);
+}
+
+// ---- Submit: one prepare per statement -------------------------------------
+
+TEST_F(ReplicationTest, SubmitWithoutCostPreparesOnce) {
+  auto cluster = MakeCluster(1);
+  MasterNode* master = cluster->master();
+  ASSERT_TRUE(master->ExecuteDirect("CREATE TABLE t (a INT PRIMARY KEY)").ok());
+  sim_.Run();
+  db::StatementCache& cache = master->database().statement_cache();
+  cache.ResetStats();
+  bool responded = false;
+  // A negative cost asks the node to estimate it from the statement; the
+  // estimate and the execution share one prepared call.
+  master->Submit("SELECT a FROM t WHERE a = 1", /*cpu_cost=*/-1,
+                 [&](Result<db::ExecResult> r) {
+                   EXPECT_TRUE(r.ok());
+                   responded = true;
+                 });
+  sim_.Run();
+  EXPECT_TRUE(responded);
+  const db::StatementCacheStats& stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.bypasses, 1);
+}
+
+TEST_F(ReplicationTest, SubmitAnswersPrepareErrorWhenTheCpuReachesIt) {
+  auto cluster = MakeCluster(1);
+  MasterNode* master = cluster->master();
+  const std::string bad = "SELECT 'unterminated";
+  std::optional<Status> answer;
+  SimTime answered_at = -1;
+  master->Submit(bad, Millis(2), [&](Result<db::ExecResult> r) {
+    answer = r.status();
+    answered_at = sim_.Now();
+  });
+  sim_.Run();
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answer->ToString(), db::ParseSql(bad).status().ToString());
+  EXPECT_GE(answered_at, Millis(2));
+  EXPECT_EQ(master->queries_failed(), 1);
+  EXPECT_EQ(master->queries_completed(), 0);
+}
+
+// A SELECT prepared when submitted but executed after DDL returns what a
+// fresh Execute returns after the DDL: templates are re-bound against the
+// live catalog on every execution.
+class QueuedAcrossDdlTest : public ReplicationTest {
+ protected:
+  /// Submits `select` behind `cpu_cost` of CPU, runs `ddl` directly while it
+  /// waits, and checks the queued result against a fresh execution.
+  void ExpectQueuedMatchesFresh(MasterNode* master, const std::string& select,
+                                const std::vector<std::string>& ddl,
+                                const std::string& expected_plan) {
+    std::optional<Result<db::ExecResult>> queued;
+    master->Submit(select, Millis(5), [&](Result<db::ExecResult> r) {
+      queued = std::move(r);
+    });
+    for (const std::string& sql : ddl) {
+      ASSERT_TRUE(master->ExecuteDirect(sql).ok()) << sql;
+    }
+    sim_.Run();
+    ASSERT_TRUE(queued.has_value());
+    ASSERT_TRUE(queued->ok()) << queued->status().ToString();
+    auto fresh = master->database().Execute(select);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ((*queued)->plan, expected_plan);
+    EXPECT_EQ((*queued)->plan, fresh->plan);
+    EXPECT_EQ((*queued)->column_names, fresh->column_names);
+    EXPECT_EQ((*queued)->rows, fresh->rows);
+  }
+};
+
+TEST_F(QueuedAcrossDdlTest, CreateIndex) {
+  auto cluster = MakeCluster(1);
+  MasterNode* master = cluster->master();
+  ASSERT_TRUE(
+      master->ExecuteDirect("CREATE TABLE t (id BIGINT PRIMARY KEY, d BIGINT)")
+          .ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(master
+                    ->ExecuteDirect(
+                        StrFormat("INSERT INTO t VALUES (%d, %d)", i, i % 5))
+                    .ok());
+  }
+  const std::string select = "SELECT id FROM t WHERE d = 3";
+  auto before = master->database().Execute(select);  // caches the template
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->plan, "table_scan");
+  ExpectQueuedMatchesFresh(master, select, {"CREATE INDEX idx_d ON t (d)"},
+                           "index_eq(d)");
+}
+
+TEST_F(QueuedAcrossDdlTest, DropAndRecreateTable) {
+  auto cluster = MakeCluster(1);
+  MasterNode* master = cluster->master();
+  ASSERT_TRUE(master
+                  ->ExecuteDirect(
+                      "CREATE TABLE t (id BIGINT PRIMARY KEY, n BIGINT, s TEXT)")
+                  .ok());
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(master
+                    ->ExecuteDirect(StrFormat("INSERT INTO t VALUES (%d, %d, "
+                                              "'x%d')",
+                                              i, i % 7, i % 3))
+                    .ok());
+  }
+  // The recreated table moves the filtered columns to other slots and holds
+  // different rows: a call bound to the old catalog would filter the wrong
+  // columns or return the old ids.
+  std::vector<std::string> ddl = {
+      "DROP TABLE t",
+      "CREATE TABLE t (id BIGINT PRIMARY KEY, s TEXT, extra DOUBLE, "
+      "n BIGINT)"};
+  for (int i = 0; i < 30; ++i) {
+    ddl.push_back(StrFormat("INSERT INTO t VALUES (%d, 'x%d', 0.5, %d)",
+                            100 + i, i % 3, i % 7));
+  }
+  ExpectQueuedMatchesFresh(master, "SELECT id FROM t WHERE n = 3 AND s = 'x1'",
+                           ddl, "table_scan");
 }
 
 // ---- Heartbeat & delay monitor -------------------------------------------
